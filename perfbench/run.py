@@ -2,12 +2,13 @@
 
 Run from the root of a checkout:
 
-    python3 perfbench/run.py --workload certify-n6 --seed 1 --seconds 32 --trace 0
-    python3 perfbench/run.py --workload all --seed 1 --seconds 32 --trace 0
+    python3 perfbench/run.py --workload certify-n6 --seed 1 --seconds 38 --trace 0
+    python3 perfbench/run.py --workload all --seed 1 --seconds 38 --trace 0
 
 One process, one client, one job at a time (a closed loop): rounds of the
-workload's jobs repeat until the next round would overrun ``--seconds``;
-every round's output is checked.  ``--trace 0`` reports the end-to-end
+workload's jobs repeat until the next round would overrun ``--seconds`` and
+the workload's fixed number of rounds is done; every round's output is
+checked.  ``--trace 0`` reports the end-to-end
 metrics; ``--trace 1`` alternates untraced and traced rounds and reports the
 per-layer metrics from ``tracer.py``.  The last line of standard output is
 one JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``;
@@ -22,7 +23,6 @@ import json
 import platform
 import resource
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
@@ -31,7 +31,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
-SETUP_PROBES = 7
+SETUP_PROBES = 12  # spread between the first workload.rounds untraced rounds
 
 sys.path.insert(0, str(HERE))
 import workloads as wl  # noqa: E402
@@ -55,11 +55,12 @@ def use_checkout_source() -> None:
 
 def machine_facts() -> dict:
     import multiprocessing
+    import os
 
     import numpy as np
 
     return {
-        "nproc": wl.nproc(),
+        "nproc": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "longdouble_nmant": int(np.finfo(np.longdouble).nmant),
@@ -79,46 +80,40 @@ def setup_probe(args) -> None:
 
 
 def measure_setup(args, outdir: str) -> float:
-    """Median set-up time over fresh interpreters (import is once per process)."""
-    times = []
-    for _ in range(SETUP_PROBES):
-        cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
-               "--workload", args.workload, "--seed", str(args.seed), "--outdir", outdir]
-        out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
-        times.append(json.loads(out.stdout.strip().splitlines()[-1])["setup_s"])
-    return statistics.median(times)
+    """Set-up time of a fresh interpreter (import is once per process)."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--setup-probe",
+           "--workload", args.workload, "--seed", str(args.seed), "--outdir", outdir]
+    out = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])["setup_s"]
 
 
-def peak_rss_mb(workers: int) -> float:
-    """Peak RSS of this process plus, for a pool, `workers` times the largest
-    reaped child's peak (pages shared after fork count once per process)."""
-    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    if workers > 1:
-        own += workers * resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
-    return own / 1024
+def peak_rss_mb() -> float:
+    """Peak RSS of this process (the jobs run in it, on one worker)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def run_jobs(jobs) -> tuple[list[float], list]:
-    """Run each job once, one at a time.
-
-    Returns the wall seconds of every segment (a job is one segment, or
-    several where it marks progress) and every job's output.
-    """
-    segments, outputs = [], []
+    """Run each job once, one at a time; the wall seconds and output of each."""
+    walls, outputs = [], []
     for job in jobs:
-        marks = [time.perf_counter()]
-        outputs.append(job(lambda: marks.append(time.perf_counter())))
-        marks.append(time.perf_counter())
-        segments += [b - a for a, b in zip(marks, marks[1:])]
-    return segments, outputs
+        t0 = time.perf_counter()
+        outputs.append(job())
+        walls.append(time.perf_counter() - t0)
+    return walls, outputs
 
 
-def run_rounds(args, workload, gg, inputs):
-    """Closed loop of rounds within --seconds; per-round records."""
+def run_rounds(args, workload, gg, inputs, outdir: str):
+    """Closed loop of rounds for --seconds (and, untraced, at least
+    ``workload.rounds``); per-round records and, untraced, set-up times.
+
+    Untraced, SETUP_PROBES set-up probes run between the first
+    ``workload.rounds`` rounds, evenly spread, so that they sample as many
+    moments of a shared host as the rounds that wall_s is taken from.
+    """
     from tracer import Tracer
 
     tracer = Tracer() if args.trace else None
-    rounds = []
+    rounds, setup = [], []
     start = now = time.perf_counter()
     while True:
         traced = tracer is not None and len(rounds) % 2 == 1  # untraced first, then alternate
@@ -126,25 +121,28 @@ def run_rounds(args, workload, gg, inputs):
         if traced:
             tracer.install()
         try:
-            segments, outputs = run_jobs(inputs["jobs"])
+            jobs, outputs = run_jobs(inputs["jobs"])
         finally:
             if traced:
                 tracer.restore()
-        rss = peak_rss_mb(workload.workers)
+        rss = peak_rss_mb()
         outcome = workload.check(gg, inputs, outputs)
         del outputs
-        rounds.append({"segments": segments, "wall": sum(segments), "traced": traced, "rss": rss,
+        rounds.append({"jobs": jobs, "wall": sum(jobs), "traced": traced, "rss": rss,
                        "outcome": outcome, "trace": tracer.take() if traced else None})
-        print(f"round {len(rounds)}: {sum(segments):.3f} s{' traced' if traced else ''}"
+        print(f"round {len(rounds)}: {sum(jobs):.3f} s{' traced' if traced else ''}"
               f"{'; FAILED: ' + '; '.join(outcome.errors) if outcome.errors else ''}",
               file=sys.stderr, flush=True)
+        if tracer is None and len(rounds) <= workload.rounds:
+            while len(setup) < -(-len(rounds) * SETUP_PROBES // workload.rounds):
+                setup.append(measure_setup(args, outdir))
         last, now = time.perf_counter() - now, time.perf_counter()
         # stop when another round like the last one would overrun --seconds
-        if now - start + last > args.seconds and (tracer is None or len(rounds) >= 2):
-            return rounds
+        if now - start + last > args.seconds and len(rounds) >= (2 if tracer else workload.rounds):
+            return rounds, setup
 
 
-def summarize(args, rounds, setup_s: float) -> dict:
+def summarize(args, workload, rounds, setup_s: float | None) -> dict:
     from tracer import PER_LAYER, layer_metrics
 
     plain = [r for r in rounds if not r["traced"]]
@@ -153,9 +151,13 @@ def summarize(args, rounds, setup_s: float) -> dict:
         values = layer_metrics(traced, [r["wall"] for r in plain], plain[0]["outcome"].report_bytes)
         units = {name: unit for name, (unit, _) in PER_LAYER.items()}
     else:
-        # Each segment at its fastest round: contention from other tenants of
-        # a shared host comes and goes within seconds and only ever adds time.
-        wall = sum(min(times) for times in zip(*(r["segments"] for r in plain)))
+        # Each job at its fastest of the first workload.rounds rounds, summed
+        # over the workload's jobs.  The jobs are fixed by the workload, not by
+        # how the program splits its work.  Other tenants of a shared host slow
+        # the CPU in bursts of seconds and only ever add time, so a short job's
+        # fastest sample is steadier from run to run than its median.
+        first = plain[: workload.rounds]
+        wall = sum(min(times) for times in zip(*(r["jobs"] for r in first), strict=True))
         values = {
             "wall_s": wall,
             "supports_per_s": plain[0]["outcome"].items / wall,
@@ -174,14 +176,16 @@ def run_one(args) -> int:
     build.mkdir(exist_ok=True)
     outdir = tempfile.mkdtemp(prefix="perfbench-", dir=build)
     try:
-        setup_s = measure_setup(args, outdir)
         gg = wl.import_program()
         print(json.dumps({"machine": machine_facts()}))
         inputs = workload.setup(gg, args.seed, outdir)
-        rounds = run_rounds(args, workload, gg, inputs)
+        rounds, setup = run_rounds(args, workload, gg, inputs, outdir)
     finally:
         shutil.rmtree(outdir, ignore_errors=True)
-    metrics = summarize(args, rounds, setup_s)
+    if setup:
+        print("setup probes: " + " ".join(f"{t:.4f}" for t in setup), file=sys.stderr)
+    # The fastest probe, as for wall_s: slow phases of a shared host only add time.
+    metrics = summarize(args, workload, rounds, min(setup) if setup else None)
     failed = sum(1 for r in rounds if r["outcome"].errors)
     if len({r["outcome"].digest for r in rounds}) != 1:
         failed = len(rounds)  # traced and untraced rounds must agree
@@ -223,7 +227,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, help="a workload name, or 'all'")
     parser.add_argument("--seed", type=int, default=wl.QX_DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=32)
+    parser.add_argument("--seconds", type=float, default=38)
     parser.add_argument("--trace", type=int, choices=[0, 1], default=0)
     parser.add_argument("--setup-probe", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--outdir", help=argparse.SUPPRESS)

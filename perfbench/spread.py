@@ -56,7 +56,7 @@ def main(argv=None) -> int:
         for metric, vals in values.items():
             q1, median, q3 = statistics.quantiles(vals, n=4)
             spread = (q3 - q1) / median
-            ok = metric == "setup_s" or spread < bounds[metric] / 3
+            ok = spread < bounds[metric] / 3
             steady &= ok
             summary[name][metric] = {"median": median, "q1": q1, "q3": q3, "n": len(vals),
                                      "spread": spread, "values": vals}

@@ -44,7 +44,7 @@ def test_traced_round_matches_untraced_and_restores(name, tmp_path):
     before = _bindings()
     with Tracer() as tracer:
         assert _bindings() != before
-        segments, outputs = run.run_jobs(inputs["jobs"])
+        walls, outputs = run.run_jobs(inputs["jobs"])
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before), "an attribute was not restored"
@@ -52,7 +52,7 @@ def test_traced_round_matches_untraced_and_restores(name, tmp_path):
     traced = workload.check(gg, inputs, outputs)
     assert traced.errors == []
     assert traced.digest == plain.digest
-    metrics = layer_metrics([(tracer.take(), sum(segments))], [sum(segments)], plain.report_bytes)
+    metrics = layer_metrics([(tracer.take(), sum(walls))], [sum(walls)], plain.report_bytes)
     assert metrics.keys() == PER_LAYER.keys()
     assert metrics["verify.supports_tested" if name != "qx-batch" else "monomials.q_polynomial.calls"] > 0
 

@@ -9,15 +9,13 @@ probe can time the import itself.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import importlib
-import io
 import json
 import math
-import os
 import random
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -32,10 +30,6 @@ def digest(obj) -> str:
     """sha256 of the canonical JSON form of obj."""
     text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(text.encode()).hexdigest()
-
-
-def nproc() -> int:
-    return len(os.sched_getaffinity(0))
 
 
 def import_program():
@@ -56,36 +50,19 @@ class Outcome:
 
 @dataclass
 class Workload:
-    setup: Callable  # (gaborglp, seed, outdir) -> inputs; inputs["jobs"]: job(mark) -> output
+    setup: Callable  # (gaborglp, seed, outdir) -> inputs; inputs["jobs"]: job() -> output
     check: Callable  # (gaborglp, inputs, job outputs) -> Outcome
-    workers: int = 1
+    # Untraced rounds that wall_s is taken over: a fixed count, so that a
+    # faster program does not get more samples and a lower minimum.  About
+    # three quarters of a 38 s run on a busy 2-vCPU host.
+    rounds: int
 
 
-class _Stamps(io.StringIO):
-    """Stands in for stderr: calls ``mark`` at every line the program ends."""
+def _cli_job(gg, argv: list[str], path: Path):
+    """A job that runs the gaborglp command in-process and returns (exit code, report)."""
 
-    def __init__(self, mark):
-        super().__init__()
-        self.mark = mark
-
-    def write(self, text):
-        if "\n" in text:
-            self.mark()
-        return super().write(text)
-
-
-def _cli_job(gg, argv: list[str], path: Path, workers: int = 1):
-    """A job that runs the gaborglp command in-process and returns (exit code, report).
-
-    On one worker, its progress lines (one per chunk of supports) mark
-    segment boundaries.  On a pool they mark result arrivals, not work, so
-    the job stays one segment.
-    """
-
-    def job(mark):
-        progress = ["--progress"] if workers == 1 else []
-        with contextlib.redirect_stderr(_Stamps(mark)):
-            rc = gg.cli.main(argv + progress + ["--workers", str(workers), "-o", str(path)])
+    def job():
+        rc = gg.cli.main(argv + ["--workers", "1", "-o", str(path)])
         return rc, path.read_bytes()
 
     return job
@@ -103,13 +80,13 @@ def _window_errors(gg, report: dict, window) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def certify_setup(n: int, workers: int):
+def certify_setup(n: int):
     def setup(gg, seed, outdir):
         argv = ["verify", "--n", str(n), "--backend", "exact", "--mode", "exhaustive"]
         return {
             "n": n,
             "window": gg.power_window_root_of_unity(n),
-            "jobs": [_cli_job(gg, argv, Path(outdir) / "certify.json", workers)],
+            "jobs": [_cli_job(gg, argv, Path(outdir) / "certify.json")],
         }
 
     return setup
@@ -126,7 +103,6 @@ def certify_check(gg, inputs, outputs) -> Outcome:
         errors.append(f"exit code {rc}, verdict {res['verdict']}")
     if res["supports_tested"] != total or res["dependent"] != 0:
         errors.append(f"tested {res['supports_tested']} of {total}, dependent {res['dependent']}")
-    # one recorded digest for every worker count: the result block is byte-identical
     d = digest(res)
     want = EXPECTED["certify"].get(str(n))
     if want is not None and d != want:
@@ -225,7 +201,7 @@ def qx_setup(dims, per_dim: int):
     return setup
 
 
-def _q_job(gg, support, n, mark):
+def _q_job(gg, support, n):
     return gg.q_polynomial(support, n)
 
 
@@ -239,7 +215,10 @@ def qx_check(gg, inputs, outputs) -> Outcome:
         record.append([n, support, q.context.prime, list(q.coeffs)])
     d = digest(record)
     want = EXPECTED["qx"].get(inputs["key"], {}).get(str(inputs["seed"]))
-    if want is not None and d != want:
+    if want is None:
+        print(f"note: no recorded qx digest for seed {inputs['seed']}; checked nonzero and degree only",
+              file=sys.stderr)
+    elif d != want:
         errors.append(f"result digest {d} != recorded {want}")
     return Outcome(len(outputs), 0, errors, d)
 
@@ -248,8 +227,7 @@ def workloads(small: bool = False) -> dict[str, Workload]:
     """The benchmark's workloads; ``small`` gives the smoke-test sizes."""
     n_certify, n_nonglp = (4, 3) if small else (6, 4)
     return {
-        "certify-n6": Workload(certify_setup(n_certify, 1), certify_check),
-        "certify-n6-pool": Workload(certify_setup(n_certify, nproc()), certify_check, nproc()),
-        "nonglp-n4": Workload(nonglp_setup(n_nonglp), nonglp_check),
-        "qx-batch": Workload(qx_setup((3,), 2) if small else qx_setup((3, 4, 5, 6), 25), qx_check),
+        "certify-n6": Workload(certify_setup(n_certify), certify_check, rounds=4),
+        "nonglp-n4": Workload(nonglp_setup(n_nonglp), nonglp_check, rounds=48),
+        "qx-batch": Workload(qx_setup((3,), 2) if small else qx_setup((3, 4, 5, 6), 25), qx_check, rounds=12),
     }
