@@ -11,15 +11,10 @@ from .backends import (
     COMPLEX_DTYPE,
     CyclotomicContext,
     FloatBackend,
-    MixedContextError,
     ResidueBackend,
-    ResidueScalar,
     SearchBoundExceededError,
-    determinant,
     embed_rational_complex,
     embedding_primes,
-    find_embedding_prime,
-    root_of_unity,
 )
 from .codec import (
     AmbiguousOperatorError,

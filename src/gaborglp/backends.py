@@ -12,9 +12,10 @@ determinant is zero.  Two interchangeable backends answer that question:
 
 * float: extended-precision complex arithmetic (80-bit long double where the
   platform provides it, i.e. a 64-bit mantissa) with an explicit relative
-  zero tolerance.  Determinant verdicts compare |det| against eps times the
-  matrix's max entry modulus; the extended mantissa keeps elimination noise
-  on genuinely singular systems far below that threshold.
+  zero tolerance.  A determinant counts as zero when |det| is strictly below
+  eps times the matrix's max entry modulus (`FloatBackend.is_zero`); the
+  extended mantissa keeps elimination noise on genuinely singular systems
+  far below that threshold.
 """
 
 from __future__ import annotations
@@ -39,10 +40,6 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class SearchBoundExceededError(RuntimeError):
     """Prime search exhausted its candidate budget (misconfiguration)."""
-
-
-class MixedContextError(ValueError):
-    """Residues from different cyclotomic contexts were combined."""
 
 
 def is_prime(n: int) -> bool:
@@ -137,33 +134,17 @@ def _element_of_order(p: int, order: int) -> int:
     raise ArithmeticError(f"no element of order {order} mod {p}")  # unreachable for prime p
 
 
-def find_embedding_prime(
-    order: int, min_bits: int = DEFAULT_MIN_BITS, max_candidates: int = 1 << 24
-) -> CyclotomicContext:
-    """Smallest prime p ≥ 2**min_bits with p ≡ 1 (mod order), plus a root.
+def embedding_primes(
+    order: int, count: int, min_bits: int = DEFAULT_MIN_BITS
+) -> list[CyclotomicContext]:
+    """The `count` smallest primes p ≥ 2**min_bits with p ≡ 1 (mod order),
+    ascending, each with a root of exact order `order`.
 
     Dirichlet guarantees such primes exist; the candidate ceiling only guards
     against misconfiguration.
     """
     if order < 1 or min_bits < 1:
         raise ValueError("order and min_bits must be positive")
-    floor = max(1 << min_bits, 3)
-    k = max((floor - 2) // order, 0) + 1 if order > 1 else floor - 1
-    # candidates are p = k*order + 1
-    for _ in range(max_candidates):
-        p = k * order + 1
-        if p >= floor and is_prime(p):
-            return CyclotomicContext(order, p, _element_of_order(p, order))
-        k += 1
-    raise SearchBoundExceededError(
-        f"no prime ≡ 1 (mod {order}) within {max_candidates} candidates above 2^{min_bits}"
-    )
-
-
-def embedding_primes(
-    order: int, count: int, min_bits: int = DEFAULT_MIN_BITS
-) -> list[CyclotomicContext]:
-    """The `count` smallest embedding contexts for `order`, ascending primes."""
     out: list[CyclotomicContext] = []
     floor = max(1 << min_bits, 3)
     k = max((floor - 2) // order, 0) + 1 if order > 1 else floor - 1
@@ -177,11 +158,6 @@ def embedding_primes(
     if len(out) < count:
         raise SearchBoundExceededError(f"could not find {count} primes ≡ 1 (mod {order})")
     return out
-
-
-def root_of_unity(ctx: CyclotomicContext, d: int) -> "ResidueScalar":
-    """Residue image of the primitive d-th root of unity (d must divide ctx.order)."""
-    return ResidueScalar(ctx.root_of_unity(d), ctx)
 
 
 def embed_rational_complex(
@@ -200,82 +176,6 @@ def embed_rational_complex(
         i_img = ctx.root_of_unity(4)
         val = (val + im.numerator * ctx.inverse(im.denominator) % p * i_img) % p
     return val
-
-
-@dataclass(frozen=True)
-class ResidueScalar:
-    """A cyclotomic integer reduced into its context's prime field."""
-
-    value: int
-    context: CyclotomicContext
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.context.prime)
-
-    def _coerce(self, other) -> "ResidueScalar":
-        if isinstance(other, ResidueScalar):
-            if other.context != self.context:
-                raise MixedContextError("operands belong to different contexts")
-            return other
-        if isinstance(other, int):
-            return ResidueScalar(other, self.context)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ResidueScalar(self.value + other.value, self.context)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ResidueScalar(self.value - other.value, self.context)
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return ResidueScalar(self.value * other.value, self.context)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ResidueScalar(-self.value, self.context)
-
-    def __pow__(self, e: int):
-        if e < 0:
-            return ResidueScalar(pow(self.inverse().value, -e, self.context.prime), self.context)
-        return ResidueScalar(pow(self.value, e, self.context.prime), self.context)
-
-    def inverse(self) -> "ResidueScalar":
-        if self.value == 0:
-            raise ZeroDivisionError("residue 0 has no inverse")
-        return ResidueScalar(self.context.inverse(self.value), self.context)
-
-    def conjugate(self) -> "ResidueScalar":
-        """Complex conjugation for unimodular values (inversion in the field)."""
-        return self.inverse()
-
-    def is_zero(self) -> bool:
-        return self.value == 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.value == other % self.context.prime
-        if isinstance(other, ResidueScalar):
-            if other.context != self.context:
-                raise MixedContextError("comparing residues from different contexts")
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.value, self.context))
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.context.prime})"
 
 
 # ---------------------------------------------------------------------------
@@ -318,12 +218,12 @@ def det_batch_nonzero_mod(mats: np.ndarray, p: int) -> np.ndarray:
 
     mats: (B, n, n) int64 residues.  Uses division-free elimination
     (row_i <- a*row_i - f*row_k), which scales determinants by nonzero
-    factors only, so "det != 0" is preserved.  Requires p < 2**31 so that
-    int64 products cannot overflow.
+    factors only, so "det != 0" is preserved.  Products of residues fit in
+    int64 for p < 2**31; wider primes run the same elimination on Python ints.
     """
-    if p >= 1 << 31:
-        raise ValueError("batched elimination requires p < 2**31")
     m = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % p)
+    if p >= 1 << 31:
+        m = m.astype(object)
     B, n, n2 = m.shape
     if n != n2:
         raise ValueError("matrices must be square")
@@ -391,26 +291,6 @@ def det_batch_float(mats: np.ndarray) -> np.ndarray:
     return det
 
 
-def determinant(matrix):
-    """Determinant of a square matrix of backend scalars.
-
-    Dispatches on the entry type: matrices of `ResidueScalar` (all from one
-    context) are evaluated exactly mod p and return a `ResidueScalar`;
-    complex/float matrices go through partially pivoted elimination.
-    """
-    rows = [list(r) for r in matrix]
-    if rows and rows[0] and isinstance(rows[0][0], ResidueScalar):
-        ctx = rows[0][0].context
-        for row in rows:
-            for x in row:
-                if not isinstance(x, ResidueScalar):
-                    raise MixedContextError("matrix mixes residue and non-residue entries")
-                if x.context != ctx:
-                    raise MixedContextError("matrix entries belong to different contexts")
-        return ResidueScalar(det_mod([[x.value for x in row] for row in rows], ctx.prime), ctx)
-    return det_float(np.asarray(matrix))
-
-
 # ---------------------------------------------------------------------------
 # backend objects
 # ---------------------------------------------------------------------------
@@ -454,20 +334,6 @@ class ResidueBackend:
         out = [int(x) * int(y) % self.prime for x, y in zip(a.ravel(), b.ravel())]
         return np.array(out, dtype=np.int64).reshape(a.shape)
 
-    def conj_vector(self, v: np.ndarray) -> np.ndarray:
-        """Entrywise complex conjugation of unimodular residues = inversion mod p."""
-        p = self.prime
-        return np.array([pow(int(x), p - 2, p) for x in v], dtype=np.int64)
-
-    def determinant(self, matrix) -> int:
-        return det_mod(matrix, self.prime)
-
-    def is_zero(self, value: int) -> bool:
-        return int(value) % self.prime == 0
-
-    def det_is_zero(self, det_value, matrix=None) -> bool:
-        return self.is_zero(det_value)
-
 
 class FloatBackend:
     """Floating backend: extended-precision complex with a relative zero tolerance."""
@@ -493,14 +359,6 @@ class FloatBackend:
     def mul(self, a, b):
         return np.asarray(a, dtype=self.dtype) * np.asarray(b, dtype=self.dtype)
 
-    def conj_vector(self, v: np.ndarray) -> np.ndarray:
-        return np.conj(v)
-
-    def determinant(self, matrix):
-        return det_float(np.asarray(matrix, dtype=self.dtype))
-
-    def is_zero(self, value, scale=1.0) -> bool:
-        return abs(complex(value)) < self.eps * float(scale)
-
-    def det_is_zero(self, det_value, matrix) -> bool:
-        return self.is_zero(det_value, scale=np.abs(np.asarray(matrix)).max())
+    def is_zero(self, value, scale=1.0):
+        """The float zero rule |value| < eps·scale, elementwise over arrays."""
+        return np.abs(value) < self.eps * scale

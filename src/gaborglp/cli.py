@@ -32,7 +32,7 @@ from .backends import (
     DEFAULT_MIN_BITS,
     DEFAULT_NUM_PRIMES,
     FloatBackend,
-    find_embedding_prime,
+    embedding_primes,
 )
 from .operators import Window
 
@@ -196,7 +196,7 @@ def _parse_support(text: str, n: int) -> list[tuple[int, int]]:
 def cmd_analyze(args) -> int:
     start = time.perf_counter()
     n = args.n
-    ctx = find_embedding_prime(n, args.prime_bits)
+    ctx = embedding_primes(n, 1, args.prime_bits)[0]
     records = []
     for text in args.support:
         support = _parse_support(text, n)

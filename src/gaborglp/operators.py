@@ -83,7 +83,10 @@ class Window:
             return Window(
                 entries, ResidueBackend(ctx), self.kind, self.seed, None, self.rational_entries
             )
-        raise ValueError("window carries no re-embedding recipe")
+        raise ValueError(
+            "window carries no re-embedding recipe, so zero verdicts cannot be escalated; "
+            "use --primes 1"
+        )
 
 
 @dataclass

@@ -114,13 +114,11 @@ def _exact_windows(window: Window, num_primes: int) -> list[Window]:
     ctx = window.backend.context
     if num_primes <= 1:
         return [window]
-    try:
-        ctxs = embedding_primes(ctx.order, num_primes, min_bits=ctx.prime.bit_length() - 1)
-        ctxs = [c for c in ctxs if c.prime != ctx.prime]
-        return [window] + [window.reembed(c) for c in ctxs[: num_primes - 1]]
-    except ValueError:
-        # no re-embedding recipe: single-prime verdicts only
-        return [window]
+    # a window without a re-embedding recipe raises here: escalation is
+    # never dropped silently
+    ctxs = embedding_primes(ctx.order, num_primes, min_bits=ctx.prime.bit_length() - 1)
+    ctxs = [c for c in ctxs if c.prime != ctx.prime]
+    return [window] + [window.reembed(c) for c in ctxs[: num_primes - 1]]
 
 
 def _float_witness(matrix: np.ndarray) -> np.ndarray:
@@ -147,9 +145,9 @@ def check_support(
                 return SupportVerdict(support, True, residues=residues)
         return SupportVerdict(support, False, residues=residues)
     mat = gabor_matrix(window, support).matrix
-    det = window.backend.determinant(mat)
+    det = det_float(mat)
     modulus = float(abs(complex(det)))
-    if window.backend.det_is_zero(det, mat):
+    if window.backend.is_zero(det, np.abs(mat).max()):
         return SupportVerdict(support, False, det_modulus=modulus, witness=_float_witness(mat))
     return SupportVerdict(support, True, det_modulus=modulus)
 
@@ -164,46 +162,46 @@ def _exact_payload(window: Window, num_primes: int):
     return [(system_matrix(w), w.backend.prime) for w in wins]
 
 
+def _escalate(minors, primes: list[int]) -> tuple[np.ndarray, list[int]]:
+    """The one escalation rule: positions of the minors zero under every prime.
+
+    `minors(i, rows)` stacks the selected minors (all of them for
+    `rows = slice(None)`) embedded under the i-th prime.  The kernel sees
+    every minor under the first prime and, under each further prime, only the
+    minors still zero.  Also returns the primes under which at least one
+    minor was evaluated.
+    """
+    rows = slice(None)
+    used: list[int] = []
+    for i, p in enumerate(primes):
+        zero = np.flatnonzero(~det_batch_nonzero_mod(minors(i, rows), p))
+        rows = zero if i == 0 else rows[zero]
+        used.append(p)
+        if not rows.size:
+            break
+    return rows, used
+
+
 def _scan_chunk_exact(sel: np.ndarray, embeddings) -> tuple[int, list, list[int]]:
-    cols0, p0 = embeddings[0]
-    n = cols0.shape[0]
-    mats = cols0[:, sel].transpose(1, 0, 2)
-    if p0 < 1 << 31:
-        ok = det_batch_nonzero_mod(mats, p0)
-    else:
-        # int64 batching would overflow; fall back to scalar elimination
-        ok = np.array([det_mod(m.tolist(), p0) != 0 for m in mats], dtype=bool)
-    failures = []
-    primes_hit: list[int] = []
-    for row in np.nonzero(~ok)[0]:
-        colsel = sel[row]
-        residues = {}
-        dependent = True
-        for colsmat, p in embeddings:
-            mat = colsmat[:, colsel]
-            r = det_mod(mat.tolist(), p)
-            residues[int(p)] = int(r)
-            if p not in primes_hit:
-                primes_hit.append(int(p))
-            if r != 0:
-                dependent = False
-                break
-        if dependent:
-            failures.append((tuple(int(c) for c in colsel), residues))
-    return len(sel), failures, primes_hit
+    primes = [p for _, p in embeddings]
+    dependent, used = _escalate(
+        lambda i, rows: embeddings[i][0][:, sel[rows]].transpose(1, 0, 2), primes
+    )
+    zeros = dict.fromkeys(primes, 0)
+    failures = [(tuple(int(c) for c in sel[row]), dict(zeros)) for row in dependent]
+    return len(sel), failures, used
 
 
-def _scan_chunk_float(sel: np.ndarray, cols: np.ndarray, eps: float) -> tuple[int, list, list[int]]:
+def _scan_chunk_float(sel: np.ndarray, cols: np.ndarray, backend) -> tuple[int, list, list[int]]:
     mats = cols[:, sel].transpose(1, 0, 2)
     dets = det_batch_float(mats)
-    scales = np.abs(mats).max(axis=(1, 2))
-    flagged = np.abs(dets) <= eps * scales
+    flagged = backend.is_zero(dets, np.abs(mats).max(axis=(1, 2)))
     failures = []
     for row in np.nonzero(flagged)[0]:
         colsel = tuple(int(c) for c in sel[row])
         mat = mats[row]
         det = det_float(mat)
-        if abs(complex(det)) <= eps * float(np.abs(mat).max()):
+        if backend.is_zero(det, np.abs(mat).max()):
             failures.append((colsel, float(abs(complex(det))), _float_witness(mat)))
     return len(sel), failures, []
 
@@ -219,8 +217,7 @@ def _worker_init(kind, payload):
 def _worker_scan(sel: np.ndarray):
     if _WORKER["kind"] == "exact":
         return _scan_chunk_exact(sel, _WORKER["payload"])
-    cols, eps = _WORKER["payload"]
-    return _scan_chunk_float(sel, cols, eps)
+    return _scan_chunk_float(sel, *_WORKER["payload"])
 
 
 # ---------------------------------------------------------------------------
@@ -303,16 +300,13 @@ def verify_glp(
     start = time.perf_counter()
     exact = window.backend.kind == "exact"
     if exact:
-        embeddings = _exact_payload(window, num_primes)
-        payload = embeddings
-        base_primes = [int(embeddings[0][1])]
+        payload = _exact_payload(window, num_primes)
     else:
-        payload = (system_matrix(window), window.backend.eps)
-        base_primes = []
+        payload = (system_matrix(window), window.backend)
 
     tested = 0
     raw_failures: list = []
-    primes_used: list[int] = list(base_primes)
+    primes_used: list[int] = []
 
     def absorb(result):
         nonlocal tested
@@ -330,7 +324,7 @@ def verify_glp(
             if exact:
                 absorb(_scan_chunk_exact(sel, payload))
             else:
-                absorb(_scan_chunk_float(sel, payload[0], payload[1]))
+                absorb(_scan_chunk_float(sel, *payload))
     else:
         kind = "exact" if exact else "float"
         with Pool(workers, initializer=_worker_init, initargs=(kind, payload)) as pool:
@@ -420,31 +414,24 @@ def fourier_minor_check(
         raise ValueError(f"exhaustive minor check capped at p = {max_p}")
     start = time.perf_counter()
     ctxs = embedding_primes(p, num_primes, min_bits)
-    tables = []
-    for ctx in ctxs:
-        om = ctx.root_of_unity(p)
-        tables.append(
-            (
-                [[pow(om, j * k, ctx.prime) for k in range(p)] for j in range(p)],
-                ctx.prime,
-            )
-        )
+    # the contexts have order p, so each root is the image of ω
+    tables = [
+        np.array([[pow(c.root, j * k, c.prime) for k in range(p)] for j in range(p)])
+        for c in ctxs
+    ]
     tested = 0
     failures = []
-    primes_used = [tables[0][1]]
+    primes_used: set[int] = set()
     for order in range(1, p + 1):
-        for rows in itertools.combinations(range(p), order):
-            for cols in itertools.combinations(range(p), order):
-                tested += 1
-                dependent = True
-                for F, q in tables:
-                    sub = [[F[r][c] for c in cols] for r in rows]
-                    if det_mod(sub, q) != 0:
-                        dependent = False
-                        break
-                    if q not in primes_used:
-                        primes_used.append(q)
-                if dependent:
-                    failures.append((rows, cols))
+        subsets = np.array(list(itertools.combinations(range(p), order)))
+        rows = np.repeat(subsets, len(subsets), axis=0)
+        cols = np.tile(subsets, (len(subsets), 1))
+        zero, used = _escalate(
+            lambda i, sel: tables[i][rows[sel][:, :, None], cols[sel][:, None, :]],
+            [c.prime for c in ctxs],
+        )
+        tested += len(rows)
+        failures.extend((tuple(map(int, rows[k])), tuple(map(int, cols[k]))) for k in zero)
+        primes_used.update(used)
     elapsed = time.perf_counter() - start
-    return FourierCheckReport(p, tested, failures, sorted(set(primes_used)), elapsed)
+    return FourierCheckReport(p, tested, failures, sorted(primes_used), elapsed)

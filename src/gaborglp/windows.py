@@ -24,8 +24,8 @@ from .backends import (
     CyclotomicContext,
     FloatBackend,
     ResidueBackend,
+    embedding_primes,
     factorize,
-    find_embedding_prime,
 )
 from .operators import Window
 
@@ -65,7 +65,7 @@ def power_window_root_of_unity(
     assert euler_phi(order) > n * (n - 1) ** 2
     L = math.lcm(n, order)
     if context is None:
-        context = find_embedding_prime(L, min_bits)
+        context = embedding_primes(L, 1, min_bits)[0]
     elif context.order != L:
         raise ValueError(f"context order must be lcm(N,(N-1)^4) = {L}")
     step = L // order  # ζ = u**step
@@ -112,7 +112,7 @@ def ones_window(n: int, backend: FloatBackend | None = None) -> Window:
 
 def ones_window_exact(n: int, min_bits: int = DEFAULT_MIN_BITS) -> Window:
     """Exact all-ones window (exponents all zero), for exercising escalation."""
-    ctx = find_embedding_prime(n, min_bits)
+    ctx = embedding_primes(n, 1, min_bits)[0]
     exps = np.zeros(n, dtype=np.int64)
     return Window(np.ones(n, dtype=np.int64), ResidueBackend(ctx), kind="user", exponents=exps)
 

@@ -143,9 +143,9 @@ def test_criterion_06_oracle_equivalence():
     zeros = 0
     total = 0
     for n in (2, 3, 4, 5):
-        from gaborglp.backends import find_embedding_prime
+        from gaborglp.backends import embedding_primes
 
-        ctx = find_embedding_prime(n, 16)
+        ctx = embedding_primes(n, 1, 16)[0]
         cells = [(a, b) for a in range(n) for b in range(n)]
         for _ in range(100):
             support = rng.sample(cells, n)

@@ -1,6 +1,8 @@
 import json
 
+from gaborglp import windows
 from gaborglp.cli import main
+from gaborglp.operators import Window
 
 
 def run(tmp_path, *argv):
@@ -78,6 +80,20 @@ def test_verify_worker_invariance(tmp_path):
     _, text1 = run(tmp_path, *base, "--workers", "1")
     _, text2 = run(tmp_path, *base, "--workers", "2")
     assert strip_timing(text1) == strip_timing(text2)
+
+
+def test_verify_exact_window_without_recipe(tmp_path):
+    # a window stored as bare residues cannot be re-embedded under further primes
+    ones = windows.ones_window_exact(4)
+    path = tmp_path / "ones.json"
+    windows.save_window(Window(ones.entries, ones.backend), path)
+    argv = ("verify", "--n", "4", "--backend", "exact", "--window", str(path))
+    assert main(list(argv)) == 2  # escalation is refused, never dropped
+    code, text = run(tmp_path, *argv, "--primes", "1")
+    assert code == 1
+    result = json.loads(text)["result"]
+    assert result["primes_used"] == [ones.backend.prime]
+    assert result["dependent"] > 0
 
 
 def test_verify_config_errors(tmp_path):

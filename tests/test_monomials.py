@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaborglp.backends import COMPLEX_DTYPE, FloatBackend, find_embedding_prime
+from gaborglp.backends import COMPLEX_DTYPE, FloatBackend, embedding_primes
 from gaborglp.monomials import (
     BudgetExceededError,
     ColumnProfile,
@@ -183,7 +183,7 @@ def test_ci_coefficient_matches_expansion_and_nonzero():
     rng = random.Random(20240810)
     ctx_cache = {}
     for n in (2, 3, 4, 5):
-        ctx_cache[n] = find_embedding_prime(n, 16)
+        ctx_cache[n] = embedding_primes(n, 1, 16)[0]
         for _ in range(100):
             support = random_support(rng, n)
             _, nsup = normalize_support(support, n)
@@ -452,7 +452,7 @@ def test_cyclic_poly_evaluation_is_homomorphism():
     import random as pyrandom
 
     rng = pyrandom.Random(5)
-    ctx = find_embedding_prime(6, 8)
+    ctx = embedding_primes(6, 1, 8)[0]
     for _ in range(50):
         a = CyclicPoly(6, [rng.randint(-4, 4) for _ in range(6)])
         b = CyclicPoly(6, [rng.randint(-4, 4) for _ in range(6)])
@@ -464,7 +464,7 @@ def test_cyclic_poly_evaluation_is_homomorphism():
 
 
 def test_cyclic_poly_residue_and_complex():
-    ctx = find_embedding_prime(3, 8)
+    ctx = embedding_primes(3, 1, 8)[0]
     omega_poly = CyclicPoly(3, (-1, 1, 0))
     om = ctx.root_of_unity(3)
     assert omega_poly.residue(ctx) == (om - 1) % ctx.prime

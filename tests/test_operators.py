@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaborglp.backends import COMPLEX_DTYPE, FloatBackend, ResidueBackend, find_embedding_prime
+from gaborglp.backends import COMPLEX_DTYPE, FloatBackend, ResidueBackend, embedding_primes
 from gaborglp.operators import (
     Window,
     frame_operator_defect,
@@ -84,7 +84,7 @@ def test_commutation_relation():
 
 
 def test_commutation_relation_exact():
-    ctx = find_embedding_prime(6, 8)
+    ctx = embedding_primes(6, 1, 8)[0]
     backend = ResidueBackend(ctx)
     rng = np.random.default_rng(1)
     x = rng.integers(0, ctx.prime, size=6).astype(np.int64)
@@ -159,7 +159,7 @@ def test_stft_exact_backend(exact_window_4):
 
 
 def test_stft_exact_requires_unimodular():
-    ctx = find_embedding_prime(4, 8)
+    ctx = embedding_primes(4, 1, 8)[0]
     w = Window(np.array([1, 2, 3, 4]), ResidueBackend(ctx))
     with pytest.raises(ValueError):
         stft(np.array([1, 0, 0, 0]), w)

@@ -5,17 +5,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from gaborglp.backends import (
     COMPLEX_DTYPE,
     FloatBackend,
     ResidueBackend,
     embed_rational_complex,
-    find_embedding_prime,
+    embedding_primes,
 )
 from gaborglp.operators import Window, gabor_matrix
 from gaborglp.verify import (
     SupportEnumeration,
+    _scan_chunk_float,
     check_support,
     columns_to_support,
     fourier_minor_check,
@@ -198,6 +201,55 @@ def test_verify_glp_deterministic_reports(exact_window_4):
     assert r1.to_dict() == r2.to_dict()
 
 
+def assert_matches_scalar_reference(window):
+    """verify_glp's batched escalation agrees with check_support, support by support."""
+    n = window.n
+    report = verify_glp(window, SupportEnumeration(n, "exhaustive"))
+    expected, evaluated = {}, set()
+    for cols in itertools.combinations(range(n * n), n):
+        verdict = check_support(window, columns_to_support(cols, n))
+        evaluated.update(verdict.residues)
+        if not verdict.independent:
+            expected[verdict.support] = verdict.residues
+    assert {d.support: d.residues for d in report.dependent} == expected
+    assert report.primes_used == sorted(evaluated)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_batched_escalation_matches_scalar_on_ones_window(n):
+    assert_matches_scalar_reference(ones_window_exact(n))
+
+
+gaussian_rationals = st.tuples(
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+
+
+@given(
+    st.integers(2, 4).flatmap(lambda n: st.lists(gaussian_rationals, min_size=n, max_size=n)),
+    st.integers(4, 10),
+)
+@settings(max_examples=15, deadline=None)
+def test_batched_escalation_matches_scalar_on_rational_windows(rationals, min_bits):
+    # small primes make minors that are nonzero over C vanish at the first
+    # prime, so escalation resolves some of them and leaves others dependent
+    n = len(rationals)
+    ctxs = embedding_primes(math.lcm(n, 4), 3, min_bits)
+    images = [[embed_rational_complex(c, re, im) for re, im in rationals] for c in ctxs]
+    assume(all(any(img) for img in images))
+    entries = np.array(images[0], dtype=np.int64)
+    window = Window(entries, ResidueBackend(ctxs[0]), rational_entries=tuple(rationals))
+    assert_matches_scalar_reference(window)
+
+
+def test_float_zero_rule_is_strict_in_the_batch_scan():
+    # the minor diag(1, eps) sits exactly at the threshold and counts as nonzero
+    cols = np.array([[1, 0], [0, FB.eps]], dtype=COMPLEX_DTYPE)
+    tested, failures, _ = _scan_chunk_float(np.array([[0, 1]]), cols, FB)
+    assert tested == 1 and failures == []
+
+
 # ---------------------------------------------------------------------------
 # backend agreement on rational-complex windows
 # ---------------------------------------------------------------------------
@@ -209,7 +261,7 @@ def test_backend_agreement_on_rational_windows():
     for _ in range(200):
         n = rng.choice([2, 3, 4])
         L = math.lcm(n, 4)
-        ctx = find_embedding_prime(L, 16)
+        ctx = embedding_primes(L, 1, 16)[0]
         rationals = tuple(
             (
                 Fraction(rng.randint(-2, 2), rng.randint(1, 3)),
@@ -323,7 +375,7 @@ def test_full_verification_against_independent_construction(float_window_4):
 
 
 def test_verify_glp_with_wide_prime():
-    # primes past the int64 batching limit fall back to scalar elimination
+    # primes past the int64 batching limit run the kernel on Python ints
     from gaborglp.windows import power_window_root_of_unity
 
     w = power_window_root_of_unity(4, min_bits=32)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaborglp import SupportEnumeration, verify_glp
-from gaborglp.backends import find_embedding_prime
+from gaborglp.backends import embedding_primes
 from gaborglp.windows import (
     UnsupportedDimensionError,
     euler_phi,
@@ -136,7 +136,7 @@ def test_serialization_roundtrip_float(tmp_path):
 
 
 def test_serialization_exact_without_exponents():
-    ctx = find_embedding_prime(4, 8)
+    ctx = embedding_primes(4, 1, 8)[0]
     data = {
         "n": 2,
         "kind": "user",
