@@ -165,10 +165,13 @@ def embed_rational_complex(
 ) -> int:
     """Residue image of the Gaussian rational re + im*i.
 
-    Requires 4 | ctx.order so that i has an image of exact order 4.
+    Requires 4 | ctx.order so that i has an image of exact order 4.  Raises
+    ZeroDivisionError when p divides a denominator: there is no image then.
     """
     re, im = Fraction(re), Fraction(im)
     p = ctx.prime
+    if re.denominator % p == 0 or im.denominator % p == 0:
+        raise ZeroDivisionError(f"{p} divides a denominator of {re} + {im}i")
     val = re.numerator * ctx.inverse(re.denominator) % p
     if im:
         if ctx.order % 4 != 0:

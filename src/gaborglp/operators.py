@@ -65,7 +65,8 @@ class Window:
         return self.backend.context if self.backend.kind == "exact" else None
 
     def reembed(self, ctx: CyclotomicContext) -> "Window":
-        """Realize the same window in another context (for prime escalation)."""
+        """Realize the same window in another context (for prime escalation).
+        Raises ArithmeticError when the window has no nonzero image there."""
         if self.backend.kind != "exact":
             raise ValueError("only exact windows can be re-embedded")
         if self.exponents is not None:
@@ -80,6 +81,8 @@ class Window:
                 [embed_rational_complex(ctx, re, im) for re, im in self.rational_entries],
                 dtype=np.int64,
             )
+            if not entries.any():
+                raise ArithmeticError(f"the window vanishes mod {ctx.prime}")
             return Window(
                 entries, ResidueBackend(ctx), self.kind, self.seed, None, self.rational_entries
             )

@@ -6,6 +6,14 @@ of the full system matrix is nonzero.  This module enumerates supports
 (exhaustively or by seeded sampling), evaluates the minors in batches, and
 aggregates a deterministic report.
 
+Exhaustive mode checks one support per translation orbit.  As π(a,b)·π(κ,λ)
+= ω^c·π(κ+a, λ+b), the matrix of Λ+(a,b) is π(a,b) times the matrix of Λ
+times a diagonal of powers of ω and a permutation, so whether the minor
+vanishes is constant on the orbit, over ℂ and mod every embedding prime.
+The exact scan runs the kernel on representatives and reports every member
+of a dependent orbit; the float scan tests every member, since rounding
+makes float moduli and witnesses differ across an orbit.
+
 Soundness convention for the exact backend: a nonzero residue mod p proves
 the minor nonzero; a zero residue is only "zero mod p" and is escalated
 across `num_primes` independent primes — a support is reported dependent
@@ -20,6 +28,7 @@ import itertools
 import math
 import random
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
 from multiprocessing import Pool
 
@@ -40,11 +49,12 @@ DEFAULT_CHUNK = 65_536
 
 @dataclass(frozen=True)
 class SupportEnumeration:
-    """Stream of size-N supports, as sorted tuples of column indices.
+    """Stream of size-N supports, as rows of sorted column indices.
 
     Columns are numbered 0..N²-1 in lexicographic (κ,λ) order.  Exhaustive
-    mode yields all C(N², N) combinations in lexicographic order; sampled
-    mode yields `count` distinct supports drawn reproducibly from `seed`.
+    mode covers all C(N², N) supports by one representative per translation
+    orbit (see `_representatives`); sampled mode draws `count` distinct
+    supports reproducibly from `seed`.
     """
 
     n: int
@@ -55,6 +65,8 @@ class SupportEnumeration:
     def __post_init__(self) -> None:
         if self.mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        if self.mode == "exhaustive" and self.n > 8:
+            raise ValueError("exhaustive mode needs N ≤ 8: a support mask has N² ≤ 64 bits")
         if self.mode == "sampled":
             if not self.count or self.count < 1:
                 raise ValueError("sampled mode requires count >= 1")
@@ -69,26 +81,76 @@ class SupportEnumeration:
     def total(self) -> int:
         return self.total_available() if self.mode == "exhaustive" else int(self.count)
 
-    def supports(self):
-        if self.mode == "exhaustive":
-            yield from itertools.combinations(range(self.n * self.n), self.n)
-        else:
-            rng = random.Random(self.seed)
-            seen: set[tuple[int, ...]] = set()
-            cols = range(self.n * self.n)
-            while len(seen) < self.count:
-                s = tuple(sorted(rng.sample(cols, self.n)))
-                if s not in seen:
-                    seen.add(s)
-                    yield s
+    def _draws(self):
+        rng = random.Random(self.seed)
+        seen: set[tuple[int, ...]] = set()
+        cols = range(self.n * self.n)
+        while len(seen) < self.count:
+            s = tuple(sorted(rng.sample(cols, self.n)))
+            if s not in seen:
+                seen.add(s)
+                yield s
 
     def chunks(self, size: int = DEFAULT_CHUNK):
-        it = self.supports()
-        while True:
-            block = list(itertools.islice(it, size))
-            if not block:
-                return
-            yield np.array(block, dtype=np.int64)
+        """Blocks of at most `size` rows, as (supports, weights) arrays.
+
+        A row stands for `weight` supports: an exhaustive row is an orbit
+        representative weighted by its orbit size, a sampled row is one drawn
+        support of weight 1.  `_orbit_members` expands a block.
+        """
+        if self.mode == "exhaustive":
+            yield from _representatives(self.n, size)
+            return
+        it = self._draws()
+        while block := list(itertools.islice(it, size)):
+            yield np.array(block, dtype=np.int64), np.ones(len(block), dtype=np.int64)
+
+
+def _mask(cells: np.ndarray, n: int) -> np.ndarray:
+    """uint64 masks of the supports in the rows of `cells`, column 0 in the highest
+    bit: the lexicographically smaller of two equal-size supports has the larger mask."""
+    return np.bitwise_or.reduce(np.uint64(1) << (n * n - 1 - cells).astype(np.uint64), axis=-1)
+
+
+def _shifted(masks: np.ndarray, n: int, e: np.ndarray) -> np.ndarray:
+    """Masks of the supports Λ-e, from the masks of Λ: rotate the rows of the
+    N×N bit grid by κ_e, then the bits within each row by λ_e."""
+    k, b = np.divmod(np.asarray(e).astype(np.uint64), n)
+    x = ((masks << k * n) | (masks >> (n - k) * n)) & ((1 << n * n) - 1)
+    low = sum(1 << (r * n) for r in range(n)) * ((np.uint64(1) << (n - b)) - 1)
+    return ((x & low) << b) | ((x & ~low) >> (n - b))
+
+
+def _representatives(n: int, size: int):
+    """Blocks of (orbit representatives, orbit sizes) covering every support.
+
+    A representative is the lexicographically least member of its orbit, so
+    it contains column 0: a support Λ ∋ 0 is one when no Λ-e, e ∈ Λ (its
+    translates that contain 0), is smaller.  The e with Λ-e = Λ form its
+    stabilizer."""
+    nn = n * n
+    # the supports that contain column 0 come first in lexicographic order
+    with_zero = itertools.islice(itertools.combinations(range(nn), n), math.comb(nn - 1, n - 1))
+    cells = itertools.chain.from_iterable(with_zero)
+    while (cand := np.fromiter(itertools.islice(cells, size * n), np.intp).reshape(-1, n)).size:
+        own = _mask(cand, n)[:, None]
+        masks = _shifted(own, n, cand)
+        least = (masks <= own).all(axis=1)
+        stabilizer = (masks[least] == own[least]).sum(axis=1)
+        yield cand[least].astype(np.int64), nn // stabilizer
+
+
+def _orbit_members(reps: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """The supports that the rows of a chunk stand for: the distinct
+    translates of each representative (weight > 1), sorted row by row; a
+    chunk of weight-1 rows stands for itself."""
+    if not (weights > 1).any():
+        return reps
+    n = reps.shape[1]
+    masks = np.sort(_shifted(_mask(reps, n)[:, None], n, np.arange(n * n)), axis=1)
+    masks = masks[np.diff(masks, axis=1, prepend=np.uint64(0)) != 0]
+    bits = np.unpackbits(masks.astype("<u8").view(np.uint8), bitorder="little")
+    return n * n - 1 - np.flatnonzero(bits).reshape(-1, n)[:, ::-1] % 64
 
 
 def columns_to_support(cols, n: int) -> tuple[TimeFreqIndex, ...]:
@@ -110,15 +172,18 @@ class SupportVerdict:
 
 
 def _exact_windows(window: Window, num_primes: int) -> list[Window]:
-    """The window re-embedded under the `num_primes` smallest usable primes."""
+    """The window re-embedded under the smallest usable primes, `num_primes`
+    in all; a prime under which it has no nonzero image is passed over."""
     ctx = window.backend.context
-    if num_primes <= 1:
-        return [window]
-    # a window without a re-embedding recipe raises here: escalation is
-    # never dropped silently
-    ctxs = embedding_primes(ctx.order, num_primes, min_bits=ctx.prime.bit_length() - 1)
-    ctxs = [c for c in ctxs if c.prime != ctx.prime]
-    return [window] + [window.reembed(c) for c in ctxs[: num_primes - 1]]
+    wins, count = [window], 1
+    while len(wins) < num_primes:
+        c = embedding_primes(ctx.order, count, min_bits=ctx.prime.bit_length() - 1)[-1]
+        count += 1
+        if c.prime != ctx.prime:
+            # no re-embedding recipe raises ValueError: escalation is never dropped silently
+            with suppress(ArithmeticError):
+                wins.append(window.reembed(c))
+    return wins
 
 
 def _float_witness(matrix: np.ndarray) -> np.ndarray:
@@ -157,11 +222,6 @@ def check_support(
 # ---------------------------------------------------------------------------
 
 
-def _exact_payload(window: Window, num_primes: int):
-    wins = _exact_windows(window, num_primes)
-    return [(system_matrix(w), w.backend.prime) for w in wins]
-
-
 def _escalate(minors, primes: list[int]) -> tuple[np.ndarray, list[int]]:
     """The one escalation rule: positions of the minors zero under every prime.
 
@@ -182,42 +242,50 @@ def _escalate(minors, primes: list[int]) -> tuple[np.ndarray, list[int]]:
     return rows, used
 
 
-def _scan_chunk_exact(sel: np.ndarray, embeddings) -> tuple[int, list, list[int]]:
+def _scan_chunk_exact(sel: np.ndarray, weights: np.ndarray, embeddings) -> tuple:
+    """Escalate the chunk's rows; every member of a dependent row fails."""
     primes = [p for _, p in embeddings]
     dependent, used = _escalate(
         lambda i, rows: embeddings[i][0][:, sel[rows]].transpose(1, 0, 2), primes
     )
     zeros = dict.fromkeys(primes, 0)
-    failures = [(tuple(int(c) for c in sel[row]), dict(zeros)) for row in dependent]
-    return len(sel), failures, used
+    members = _orbit_members(sel[dependent], weights[dependent])
+    failures = [(tuple(int(c) for c in row), dict(zeros)) for row in members]
+    return int(weights.sum()), failures, used
 
 
-def _scan_chunk_float(sel: np.ndarray, cols: np.ndarray, backend) -> tuple[int, list, list[int]]:
-    mats = cols[:, sel].transpose(1, 0, 2)
-    dets = det_batch_float(mats)
-    flagged = backend.is_zero(dets, np.abs(mats).max(axis=(1, 2)))
+def _scan_chunk_float(sel: np.ndarray, weights: np.ndarray, cols: np.ndarray, backend) -> tuple:
+    """Scan every member of the chunk (float moduli are not orbit invariant)."""
+    members = _orbit_members(sel, weights)
     failures = []
-    for row in np.nonzero(flagged)[0]:
-        colsel = tuple(int(c) for c in sel[row])
-        mat = mats[row]
-        det = det_float(mat)
-        if backend.is_zero(det, np.abs(mat).max()):
-            failures.append((colsel, float(abs(complex(det))), _float_witness(mat)))
-    return len(sel), failures, []
+    for start in range(0, len(members), DEFAULT_CHUNK):
+        mats = cols[:, members[start : start + DEFAULT_CHUNK]].transpose(1, 0, 2)
+        dets = det_batch_float(mats)
+        flagged = backend.is_zero(dets, np.abs(mats).max(axis=(1, 2)))
+        for row in np.nonzero(flagged)[0]:
+            mat = mats[row]
+            det = det_float(mat)
+            if backend.is_zero(det, np.abs(mat).max()):
+                colsel = tuple(int(c) for c in members[start + row])
+                failures.append((colsel, float(abs(complex(det))), _float_witness(mat)))
+    return int(weights.sum()), failures, []
+
+
+def _scan(kind: str, payload, chunk) -> tuple[int, list, list[int]]:
+    if kind == "exact":
+        return _scan_chunk_exact(*chunk, payload)
+    return _scan_chunk_float(*chunk, *payload)
 
 
 _WORKER: dict = {}
 
 
 def _worker_init(kind, payload):
-    _WORKER["kind"] = kind
-    _WORKER["payload"] = payload
+    _WORKER["args"] = (kind, payload)
 
 
-def _worker_scan(sel: np.ndarray):
-    if _WORKER["kind"] == "exact":
-        return _scan_chunk_exact(sel, _WORKER["payload"])
-    return _scan_chunk_float(sel, *_WORKER["payload"])
+def _worker_scan(chunk):
+    return _scan(*_WORKER["args"], chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +366,9 @@ def verify_glp(
     if enumeration.n != n:
         raise ValueError("enumeration dimension does not match the window")
     start = time.perf_counter()
-    exact = window.backend.kind == "exact"
-    if exact:
-        payload = _exact_payload(window, num_primes)
+    kind = window.backend.kind
+    if kind == "exact":
+        payload = [(system_matrix(w), w.backend.prime) for w in _exact_windows(window, num_primes)]
     else:
         payload = (system_matrix(window), window.backend)
 
@@ -320,13 +388,9 @@ def verify_glp(
             progress(tested)
 
     if workers <= 1:
-        for sel in enumeration.chunks(chunk_size):
-            if exact:
-                absorb(_scan_chunk_exact(sel, payload))
-            else:
-                absorb(_scan_chunk_float(sel, *payload))
+        for chunk in enumeration.chunks(chunk_size):
+            absorb(_scan(kind, payload, chunk))
     else:
-        kind = "exact" if exact else "float"
         with Pool(workers, initializer=_worker_init, initargs=(kind, payload)) as pool:
             for result in pool.imap(_worker_scan, enumeration.chunks(chunk_size)):
                 absorb(result)
@@ -334,7 +398,7 @@ def verify_glp(
     dependent = []
     for fail in sorted(raw_failures, key=lambda f: f[0]):
         support = columns_to_support(fail[0], n)
-        if exact:
+        if kind == "exact":
             dependent.append(DependentSupport(support, residues=fail[1]))
         else:
             dependent.append(DependentSupport(support, det_modulus=fail[1], witness=fail[2]))
@@ -342,7 +406,7 @@ def verify_glp(
     elapsed = time.perf_counter() - start
     return VerificationReport(
         n=n,
-        backend=window.backend.kind,
+        backend=kind,
         window_kind=window.kind,
         mode=enumeration.mode,
         supports_tested=tested,

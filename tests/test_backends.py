@@ -281,6 +281,19 @@ def test_embed_rational_complex():
     assert i_img * i_img % p == p - 1
 
 
+def test_embed_rational_complex_without_image():
+    # 1/29 has no image mod 29: mapping it to 0 would not be a homomorphism
+    from fractions import Fraction
+
+    ctx = embedding_primes(4, 2, 4)[1]
+    assert ctx.prime == 29
+    with pytest.raises(ZeroDivisionError):
+        embed_rational_complex(ctx, Fraction(1, 29))
+    with pytest.raises(ZeroDivisionError):
+        embed_rational_complex(ctx, 1, Fraction(2, 58))
+    assert embed_rational_complex(ctx, Fraction(29, 3)) == 0
+
+
 def test_float_backend_zero_notion():
     fb = FloatBackend(eps=1e-8)
     assert fb.is_zero(1e-9)

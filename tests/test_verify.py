@@ -12,12 +12,16 @@ from gaborglp.backends import (
     COMPLEX_DTYPE,
     FloatBackend,
     ResidueBackend,
+    det_mod,
     embed_rational_complex,
     embedding_primes,
 )
-from gaborglp.operators import Window, gabor_matrix
+from gaborglp.operators import Window, gabor_matrix, system_matrix
 from gaborglp.verify import (
     SupportEnumeration,
+    _escalate,
+    _exact_windows,
+    _orbit_members,
     _scan_chunk_float,
     check_support,
     columns_to_support,
@@ -25,7 +29,12 @@ from gaborglp.verify import (
     verify_glp,
     write_witness_csv,
 )
-from gaborglp.windows import ones_window, ones_window_exact, random_window
+from gaborglp.windows import (
+    ones_window,
+    ones_window_exact,
+    power_window_root_of_unity,
+    random_window,
+)
 
 FB = FloatBackend()
 
@@ -39,18 +48,58 @@ def cwin(*entries):
 # ---------------------------------------------------------------------------
 
 
+def translates(support, n):
+    """All N² translates of a support, as sorted tuples (with repeats)."""
+    return [
+        tuple(sorted(((c // n + a) % n) * n + (c % n + b) % n for c in support))
+        for a in range(n)
+        for b in range(n)
+    ]
+
+
 def test_exhaustive_enumeration_matches_combinations():
-    enum = SupportEnumeration(3, "exhaustive")
-    got = [tuple(row) for chunk in enum.chunks(17) for row in chunk]
-    assert got == list(itertools.combinations(range(9), 3))
-    assert enum.total() == math.comb(9, 3)
+    # orbit representatives expand to every support exactly once
+    orbits = {}
+    for n in range(1, 6):
+        enum = SupportEnumeration(n, "exhaustive")
+        chunks = list(enum.chunks(97))
+        members = [tuple(map(int, r)) for reps, ws in chunks for r in _orbit_members(reps, ws)]
+        assert sorted(members) == list(itertools.combinations(range(n * n), n))
+        reps = [tuple(map(int, row)) for reps, _ in chunks for row in reps]
+        weights = [int(w) for _, ws in chunks for w in ws]
+        assert sum(weights) == enum.total() == math.comb(n * n, n)
+        for rep, weight in zip(reps, weights):
+            assert rep == min(translates(rep, n))
+            assert weight == len(set(translates(rep, n)))
+        orbits[n] = len(reps)
+    assert orbits[4] == 122 and orbits[5] == 2130
+
+
+def test_orbits_at_the_full_mask_width():
+    # N = 8 uses all 64 bits of a support mask; N = 9 would need 81
+    with pytest.raises(ValueError):
+        SupportEnumeration(9, "exhaustive")
+    reps, weights = next(SupportEnumeration(8, "exhaustive").chunks(300))
+    members = _orbit_members(reps, weights)
+    assert len(members) == weights.sum()
+    start = 0
+    for rep, weight in zip(reps.tolist(), weights.tolist()):
+        orbit = set(translates(rep, 8))
+        assert tuple(rep) == min(orbit) and weight == len(orbit)
+        assert {tuple(m) for m in members[start : start + weight].tolist()} == orbit
+        start += weight
 
 
 def test_sampled_enumeration_reproducible_and_distinct():
+    def draws(enum):
+        chunks = list(enum.chunks(64))
+        assert all((weights == 1).all() for _, weights in chunks)
+        return [tuple(map(int, row)) for rows, _ in chunks for row in rows]
+
     a = SupportEnumeration(4, "sampled", count=300, seed=5)
     b = SupportEnumeration(4, "sampled", count=300, seed=5)
     c = SupportEnumeration(4, "sampled", count=300, seed=6)
-    la, lb, lc = list(a.supports()), list(b.supports()), list(c.supports())
+    la, lb, lc = draws(a), draws(b), draws(c)
     assert la == lb
     assert la != lc
     assert len(set(la)) == 300
@@ -177,6 +226,14 @@ def test_verify_glp_worker_count_invariance(exact_window_4):
     assert d1 == d2
 
 
+def test_verify_glp_worker_count_invariance_with_dependent_orbits():
+    # stabilized orbits of the ones window expand to their members in the workers
+    enum = SupportEnumeration(4, "exhaustive")
+    r1 = verify_glp(ones_window_exact(4), enum, workers=1, chunk_size=50)
+    r2 = verify_glp(ones_window_exact(4), enum, workers=2, chunk_size=50)
+    assert r1.dependent and r1.to_dict() == r2.to_dict()
+
+
 def test_verify_glp_float_worker_count_invariance():
     w = random_window(3, 7)
     enum = SupportEnumeration(3, "exhaustive")
@@ -233,20 +290,104 @@ gaussian_rationals = st.tuples(
 @settings(max_examples=15, deadline=None)
 def test_batched_escalation_matches_scalar_on_rational_windows(rationals, min_bits):
     # small primes make minors that are nonzero over C vanish at the first
-    # prime, so escalation resolves some of them and leaves others dependent
+    # prime, so escalation resolves some of them and leaves others dependent;
+    # a later prime under which the window vanishes is passed over
     n = len(rationals)
-    ctxs = embedding_primes(math.lcm(n, 4), 3, min_bits)
-    images = [[embed_rational_complex(c, re, im) for re, im in rationals] for c in ctxs]
-    assume(all(any(img) for img in images))
-    entries = np.array(images[0], dtype=np.int64)
-    window = Window(entries, ResidueBackend(ctxs[0]), rational_entries=tuple(rationals))
+    ctx = embedding_primes(math.lcm(n, 4), 1, min_bits)[0]
+    entries = np.array([embed_rational_complex(ctx, re, im) for re, im in rationals])
+    assume(entries.any())  # a window is nonzero under its own prime
+    window = Window(entries, ResidueBackend(ctx), rational_entries=tuple(rationals))
     assert_matches_scalar_reference(window)
+
+
+@pytest.mark.parametrize(
+    "rationals",
+    [
+        ((Fraction(29), Fraction(0)), (Fraction(0), Fraction(29))),  # vanishes mod 29
+        ((Fraction(1, 29), Fraction(0)), (Fraction(0), Fraction(1, 29))),  # no image mod 29
+    ],
+)
+def test_escalation_passes_over_primes_without_an_image(rationals):
+    ctxs = embedding_primes(4, 4, 4)
+    assert [c.prime for c in ctxs] == [17, 29, 37, 41]
+    entries = np.array([embed_rational_complex(ctxs[0], re, im) for re, im in rationals])
+    window = Window(entries, ResidueBackend(ctxs[0]), rational_entries=rationals)
+    # the window is a multiple of (1, i), so these two minors vanish over C
+    report = verify_glp(window, SupportEnumeration(2, "exhaustive"))
+    dependent = [((0, 0), (1, 1)), ((0, 1), (1, 0))]
+    assert [d.support for d in report.dependent] == dependent
+    assert all(d.residues == {17: 0, 37: 0, 41: 0} for d in report.dependent)
+    assert report.primes_used == [17, 37, 41]
+    assert check_support(window, dependent[0]).residues == {17: 0, 37: 0, 41: 0}
+
+
+def full_enumeration_oracle(window):
+    """Dependent supports and primes used, escalating over every combination."""
+    n = window.n
+    sel = np.array(list(itertools.combinations(range(n * n), n)))
+    embeddings = [(system_matrix(w), w.backend.prime) for w in _exact_windows(window, 3)]
+    zero, used = _escalate(
+        lambda i, rows: embeddings[i][0][:, sel[rows]].transpose(1, 0, 2),
+        [p for _, p in embeddings],
+    )
+    return [columns_to_support(sel[k], n) for k in zero], sorted(used)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+@pytest.mark.parametrize("make", [power_window_root_of_unity, ones_window_exact])
+def test_orbit_scan_matches_full_enumeration(n, make):
+    window = make(n)
+    report = verify_glp(window, SupportEnumeration(n, "exhaustive"), chunk_size=500)
+    dependent, primes_used = full_enumeration_oracle(window)
+    assert report.supports_tested == math.comb(n * n, n)
+    assert [d.support for d in report.dependent] == dependent
+    assert all(d.residues == dict.fromkeys(primes_used, 0) for d in report.dependent)
+    assert report.primes_used == primes_used
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_float_scan_tests_every_orbit_member(n):
+    window = ones_window(n)
+    report = verify_glp(window, SupportEnumeration(n, "exhaustive"), chunk_size=7)
+    expected = []
+    for cols in itertools.combinations(range(n * n), n):
+        verdict = check_support(window, columns_to_support(cols, n))
+        if not verdict.independent:
+            expected.append((verdict.support, verdict.det_modulus))
+    assert report.supports_tested == math.comb(n * n, n)
+    assert [(d.support, d.det_modulus) for d in report.dependent] == expected
+
+
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n),
+            st.permutations(range(n * n)).map(lambda cells: cells[:n]),
+            st.integers(0, n - 1),
+            st.integers(0, n - 1),
+        )
+    ),
+    st.integers(3, 6),
+)
+@settings(max_examples=60, deadline=None)
+def test_minor_vanishes_alike_on_a_translation_orbit(case, min_bits):
+    # G of Λ+(a,b) is π(a,b)·G_Λ times a diagonal of ω-powers and a
+    # permutation, so its determinant is a unit times that of G_Λ mod p
+    entries, cells, a, b = case
+    n = len(entries)
+    assume(any(entries))
+    support = columns_to_support(cells, n)
+    shifted = [(k + a, l + b) for k, l in support]
+    for ctx in embedding_primes(n, 3, min_bits):
+        window = Window(np.array(entries), ResidueBackend(ctx))
+        dets = [det_mod(gabor_matrix(window, s).matrix.tolist(), ctx.prime) for s in (support, shifted)]
+        assert (dets[0] == 0) == (dets[1] == 0)
 
 
 def test_float_zero_rule_is_strict_in_the_batch_scan():
     # the minor diag(1, eps) sits exactly at the threshold and counts as nonzero
     cols = np.array([[1, 0], [0, FB.eps]], dtype=COMPLEX_DTYPE)
-    tested, failures, _ = _scan_chunk_float(np.array([[0, 1]]), cols, FB)
+    tested, failures, _ = _scan_chunk_float(np.array([[0, 1]]), np.ones(1, int), cols, FB)
     assert tested == 1 and failures == []
 
 
