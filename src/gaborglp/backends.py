@@ -9,6 +9,9 @@ determinant is zero.  Two interchangeable backends answer that question:
   residue certifies that the complex value is nonzero.  A zero residue only
   means "zero mod this prime"; callers escalate zero verdicts across several
   independent primes (see `embedding_primes`) before reporting dependence.
+  Exact determinants come from one batched kernel, `det_batch_mod` (values
+  mod any prime); the zero test `det_batch_nonzero_mod` and Q(x) both use it,
+  and scalar `det_mod` is the independent reference.
 
 * float: extended-precision complex arithmetic (80-bit long double where the
   platform provides it, i.e. a 64-bit mantissa) with an explicit relative
@@ -216,13 +219,16 @@ def det_mod(rows, p: int) -> int:
     return det % p
 
 
-def det_batch_nonzero_mod(mats: np.ndarray, p: int) -> np.ndarray:
-    """Vectorized zero/nonzero verdicts for a stack of matrices mod p.
+def det_batch_mod(mats: np.ndarray, p: int) -> np.ndarray:
+    """Exact determinants mod p of a stack of (B, n, n) integer matrices.
 
-    mats: (B, n, n) int64 residues.  Uses division-free elimination
-    (row_i <- a*row_i - f*row_k), which scales determinants by nonzero
-    factors only, so "det != 0" is preserved.  Products of residues fit in
-    int64 for p < 2**31; wider primes run the same elimination on Python ints.
+    Division-free elimination (row_i <- a_k*row_i - f*row_k) scales the
+    determinant by a_k^(n-k-1) at step k, a_k the k-th pivot; the product of
+    these scales is that of the running pivot products after steps 0..n-2.
+    The kernel tracks the row-swap sign, the pivot product and the scale, and
+    divides by the scale once, by a square-and-multiply inverse on the whole
+    batch; singular rows give 0.  Products of residues fit in int64 for
+    p < 2**31; wider primes run the same code on Python ints.
     """
     m = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % p)
     if p >= 1 << 31:
@@ -230,22 +236,33 @@ def det_batch_nonzero_mod(mats: np.ndarray, p: int) -> np.ndarray:
     B, n, n2 = m.shape
     if n != n2:
         raise ValueError("matrices must be square")
-    ok = np.ones(B, dtype=bool)
+    sign = np.ones(B, dtype=bool)
+    pivots = scale = inv = np.ones(B, dtype=m.dtype)
     idx = np.arange(B)
     for k in range(n):
-        col = m[:, k:, k]
-        nz = col != 0
-        ok &= nz.any(axis=1)
-        piv = nz.argmax(axis=1)
-        rows_k = m[:, k, k:].copy()
-        prows = m[idx, k + piv, k:].copy()
-        m[idx, k + piv, k:] = rows_k
-        m[:, k, k:] = prows
+        piv = (m[:, k:, k] != 0).argmax(axis=1)
+        if piv.any():
+            sign ^= piv > 0
+            m[idx, k + piv, k:], m[:, k, k:] = m[:, k, k:].copy(), m[idx, k + piv, k:]
+        a = m[:, k, k]
+        pivots = pivots * a % p
         if k + 1 < n:
-            a = m[:, k, k][:, None, None]
+            scale = scale * pivots % p
             f = m[:, k + 1 :, k][:, :, None]
-            m[:, k + 1 :, k:] = (a * m[:, k + 1 :, k:] - f * m[:, k : k + 1, k:]) % p
-    return ok
+            m[:, k + 1 :, k:] = (a[:, None, None] * m[:, k + 1 :, k:] - f * m[:, k : k + 1, k:]) % p
+    e = p - 2
+    while e:
+        if e & 1:
+            inv = inv * scale % p
+        scale = scale * scale % p
+        e >>= 1
+    det = pivots * inv % p
+    return np.where(sign, det, (p - det) % p)
+
+
+def det_batch_nonzero_mod(mats: np.ndarray, p: int) -> np.ndarray:
+    """Zero/nonzero verdicts for a stack of matrices mod p (any prime)."""
+    return det_batch_mod(mats, p) != 0
 
 
 def det_float(mat: np.ndarray) -> complex:
@@ -315,18 +332,9 @@ class ResidueBackend:
     def omega_table(self, n: int) -> np.ndarray:
         """Powers ω^0..ω^(n-1) of the order-n root, as int64 residues."""
         if n not in self._omega_cache:
-            om = self.context.root_of_unity(n)
-            p = self.prime
-            tab = np.empty(n, dtype=np.int64)
-            v = 1
-            for e in range(n):
-                tab[e] = v
-                v = v * om % p
-            self._omega_cache[n] = tab
+            om, p = self.context.root_of_unity(n), self.prime
+            self._omega_cache[n] = np.array([pow(om, e, p) for e in range(n)], dtype=np.int64)
         return self._omega_cache[n]
-
-    def omega_powers(self, n: int, exps: np.ndarray) -> np.ndarray:
-        return self.omega_table(n)[np.asarray(exps) % n]
 
     def mul(self, a, b):
         a = np.asarray(a, dtype=np.int64)
@@ -334,8 +342,7 @@ class ResidueBackend:
         if self.prime < 1 << 31:
             return a * b % self.prime
         # int64 products would overflow for larger primes; go through Python ints
-        out = [int(x) * int(y) % self.prime for x, y in zip(a.ravel(), b.ravel())]
-        return np.array(out, dtype=np.int64).reshape(a.shape)
+        return (a.astype(object) * b % self.prime).astype(np.int64)
 
 
 class FloatBackend:
@@ -355,9 +362,6 @@ class FloatBackend:
             ang = 2 * np.pi * np.arange(n, dtype=REAL_DTYPE) / REAL_DTYPE(n)
             self._omega_cache[n] = (np.cos(ang) + 1j * np.sin(ang)).astype(self.dtype)
         return self._omega_cache[n]
-
-    def omega_powers(self, n: int, exps: np.ndarray) -> np.ndarray:
-        return self.omega_table(n)[np.asarray(exps) % n]
 
     def mul(self, a, b):
         return np.asarray(a, dtype=self.dtype) * np.asarray(b, dtype=self.dtype)

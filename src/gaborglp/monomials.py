@@ -39,8 +39,11 @@ import numpy as np
 from .backends import (
     DEFAULT_MIN_BITS,
     CyclotomicContext,
+    ResidueBackend,
+    det_batch_mod,
     embedding_primes,
 )
+from .operators import gabor_indices
 
 TimeFreqIndex = tuple[int, int]
 Monomial = tuple[int, ...]  # exponent vector α with Σα = N
@@ -559,42 +562,39 @@ class QPolynomial:
         return any(self.coeffs)
 
 
-def _interpolate_mod(xs: list[int], ys: list[int], p: int) -> list[int]:
-    """Newton interpolation mod p; returns ascending coefficients."""
-    k = len(xs)
-    dd = [y % p for y in ys]
+def _interpolate_mod(ys, p: int) -> list[int]:
+    """Newton interpolation mod p through the points (t, ys[t]), t = 0..k-1;
+    returns the k ascending coefficients."""
+    k = len(ys)
+    dd = np.array(ys, dtype=object if p >= 1 << 31 else np.int64) % p
+    # at level j every divided-difference denominator x_i - x_(i-j) equals j
     for j in range(1, k):
-        for i in range(k - 1, j - 1, -1):
-            num = (dd[i] - dd[i - 1]) % p
-            den = (xs[i] - xs[i - j]) % p
-            dd[i] = num * pow(den, p - 2, p) % p
-    poly = [dd[k - 1]]
-    for i in range(k - 2, -1, -1):
-        nxt = [0] * (len(poly) + 1)
-        xi = xs[i] % p
-        for t, c in enumerate(poly):
-            nxt[t + 1] = (nxt[t + 1] + c) % p
-            nxt[t] = (nxt[t] - xi * c) % p
-        nxt[0] = (nxt[0] + dd[i]) % p
-        poly = nxt
-    return poly
+        dd[j:] = (dd[j:] - dd[j - 1 : -1]) * pow(j, p - 2, p) % p
+    # Horner in Newton form: poly <- poly·(x - i) + dd[i]
+    poly = np.zeros_like(dd)
+    for i in range(k - 1, -1, -1):
+        poly[1:] = (poly[:-1] - i * poly[1:]) % p
+        poly[0] = (dd[i] - i * poly[0]) % p
+    return poly.tolist()
 
 
-def _q_eval_points(support, n: int, ctx: CyclotomicContext, count: int) -> list[int]:
-    """Evaluate the symbolic determinant at windows z_j = t^(j²), t = 0..count-1."""
-    from .backends import ResidueBackend, det_mod
-    from .operators import Window, gabor_matrix
-
+def _q_eval_points(support, n: int, ctx: CyclotomicContext, count: int) -> np.ndarray:
+    """The symbolic determinant at windows z_j = t^(j²), t = 0..count-1, by
+    one batched determinant of the stacked Gabor matrices."""
     backend = ResidueBackend(ctx)
-    support = sorted((k % n, l % n) for k, l in support)
-    values = []
-    for t in range(count):
-        # t = 0 is a valid point: z_0 = 0**0 = 1, the rest vanish
-        entries = np.array([pow(t, j * j, ctx.prime) for j in range(n)], dtype=np.int64)
-        w = Window(entries, backend)
-        mat = gabor_matrix(w, support).matrix
-        values.append(det_mod(mat.tolist(), ctx.prime))
-    return values
+    _, shift, phase = gabor_indices(sorted((k % n, l % n) for k, l in support), n)
+    # powers[t, e] = t^e; t = 0 is a valid point: z_0 = 0**0 = 1, the rest vanish
+    powers = np.ones((count, (n - 1) ** 2 + 1), dtype=np.int64)
+    for e in range(1, powers.shape[1]):
+        powers[:, e] = backend.mul(powers[:, e - 1], np.arange(count))
+    mats = backend.mul(powers[:, shift**2], backend.omega_table(n)[phase])
+    return det_batch_mod(mats, ctx.prime)
+
+
+def _q_contexts(n: int, min_bits: int, num_primes: int):
+    """Embedding primes for Q, found only as they are needed."""
+    yield from embedding_primes(n, 1, min_bits)
+    yield from embedding_primes(n, num_primes, min_bits)[1:]
 
 
 def q_polynomial(
@@ -616,18 +616,16 @@ def q_polynomial(
     """
     degree_bound = n * (n - 1) ** 2
     count = degree_bound + 1 + degree_slack
-    contexts = [context] if context is not None else embedding_primes(n, escalation_primes, min_bits)
-    last = None
+    contexts = [context] if context is not None else _q_contexts(n, min_bits, escalation_primes)
     for ctx in contexts:
         if ctx.prime <= count:
             raise ValueError("prime too small for the interpolation point count")
-        ys = _q_eval_points(support, n, ctx, count)
-        coeffs = _interpolate_mod(list(range(count)), ys, ctx.prime)
+        coeffs = _interpolate_mod(_q_eval_points(support, n, ctx, count), ctx.prime)
         if any(coeffs[degree_bound + 1 :]):
             raise AssertionError("interpolated Q exceeds its degree bound — bug")
-        last = QPolynomial(tuple(coeffs[: degree_bound + 1]), ctx, n)
-        if last:
-            return last
+        q = QPolynomial(tuple(coeffs[: degree_bound + 1]), ctx, n)
+        if q:
+            return q
     raise AssertionError("Q interpolated to zero under all escalation primes — bug")
 
 

@@ -110,7 +110,7 @@ def modulate(x: np.ndarray, lam: int, backend) -> np.ndarray:
     """Modulation: output_j = ω^(jλ) x_j."""
     x = np.asarray(x)
     n = len(x)
-    phases = backend.omega_powers(n, np.arange(n) * (lam % n))
+    phases = backend.omega_table(n)[np.arange(n) * (lam % n) % n]
     return backend.mul(x, phases)
 
 
@@ -129,20 +129,26 @@ def full_support(n: int) -> list[TimeFreqIndex]:
     return [(k, l) for k in range(n) for l in range(n)]
 
 
-def column_index(idx: TimeFreqIndex, n: int) -> int:
-    """Position of (κ,λ) in the lexicographic full system."""
-    return (idx[0] % n) * n + idx[1] % n
-
-
-def gabor_matrix(window: Window, support) -> GaborSystem:
-    """System matrix with column i = π(support_i)·window, order preserved."""
-    support = tuple((int(k) % window.n, int(l) % window.n) for k, l in support)
+def gabor_indices(support, n: int) -> tuple[tuple[TimeFreqIndex, ...], np.ndarray, np.ndarray]:
+    """The support reduced mod n and checked, with the index arrays of its
+    Gabor matrix: G[j, c] = ω^phase[j, c] · window[shift[j, c]], where
+    shift = (j - κ_c) mod n and phase = (j·λ_c) mod n."""
+    support = tuple((int(k) % n, int(l) % n) for k, l in support)
     if not support:
         raise ValueError("support must be non-empty")
     if len(set(support)) != len(support):
         raise ValueError("duplicate time-frequency index in support")
-    cols = [shifted_window(window, idx) for idx in support]
-    return GaborSystem(window, support, np.stack(cols, axis=1))
+    kappa, lam = np.array(support).T
+    j = np.arange(n)[:, None]
+    return support, (j - kappa) % n, j * lam % n
+
+
+def gabor_matrix(window: Window, support) -> GaborSystem:
+    """System matrix with column i = π(support_i)·window, order preserved."""
+    support, shift, phase = gabor_indices(support, window.n)
+    backend = window.backend
+    matrix = backend.mul(window.entries[shift], backend.omega_table(window.n)[phase])
+    return GaborSystem(window, support, matrix)
 
 
 def system_matrix(window: Window) -> np.ndarray:
@@ -166,17 +172,9 @@ def stft(f: np.ndarray, window: Window) -> np.ndarray:
         if window.exponents is None:
             raise ValueError("exact stft requires a unimodular (root-of-unity) window")
         p = window.backend.prime
-        Gc = np.array(
-            [[pow(int(v), p - 2, p) for v in row] for row in G], dtype=np.int64
-        )
-        vals = np.zeros(n * n, dtype=np.int64)
-        fr = np.asarray(f, dtype=np.int64) % p
-        for i in range(n * n):
-            acc = 0
-            for j in range(n):
-                acc = (acc + int(fr[j]) * int(Gc[j, i])) % p
-            vals[i] = acc
-        return vals.reshape(n, n)
+        Gc = np.array([pow(int(v), p - 2, p) for v in G.ravel()], dtype=object).reshape(G.shape)
+        vals = (np.asarray(f, dtype=np.int64) % p).astype(object) @ Gc % p
+        return vals.astype(np.int64).reshape(n, n)
     fb = f.astype(window.backend.dtype)
     return (G.conj().T @ fb).reshape(n, n)
 

@@ -7,6 +7,8 @@ from gaborglp.backends import (
     COMPLEX_DTYPE,
     CyclotomicContext,
     FloatBackend,
+    ResidueBackend,
+    det_batch_mod,
     det_batch_nonzero_mod,
     det_float,
     det_mod,
@@ -202,6 +204,48 @@ def test_batch_nonzero_agrees_with_scalar_wide_prime(seed):
     verdicts = det_batch_nonzero_mod(batch, p)
     for mat, v in zip(batch, verdicts):
         assert (det_mod(mat.tolist(), p) != 0) == bool(v)
+
+
+@given(
+    st.integers(1, 6),
+    st.sampled_from([2, 3, 5, 7, 13, 1049437, embedding_primes(12, 1, 40)[0].prime]),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_det_equals_scalar(n, p, seed):
+    # p >= 2**31 (the last prime) runs the kernel on Python ints
+    rng = np.random.default_rng(seed)
+    batch = rng.integers(0, p, size=(10, n, n))
+    batch[0] = 0
+    # a scaled anti-diagonal permutation: a row swap at every step
+    batch[1] = np.fliplr(np.diag(rng.integers(1, p, size=n)))
+    # zero leading column above the last row: the first pivot is the last row
+    batch[2, :-1, 0] = 0
+    if n > 1:
+        batch[3, -1] = batch[3, 0]
+    if n > 2:
+        # singular only mod p: the last row is a combination of the first two
+        c, d = (int(x) for x in rng.integers(1, p, size=2))
+        batch[4, -1] = [(c * int(x) + d * int(y)) % p for x, y in zip(batch[4, 0], batch[4, 1])]
+    dets = det_batch_mod(batch, p)
+    assert dets.tolist() == [det_mod(mat.tolist(), p) for mat in batch]
+    assert (det_batch_nonzero_mod(batch, p) == (dets != 0)).all()
+
+
+def test_residue_mul_wide_prime():
+    b = ResidueBackend(embedding_primes(12, 1, 40)[0])
+    rng = np.random.default_rng(4)
+    x, y = rng.integers(0, b.prime, size=(2, 3, 5))
+    out = b.mul(x, y)
+    assert out.dtype == np.int64
+    assert out.tolist() == [[int(u) * int(v) % b.prime for u, v in zip(r, q)] for r, q in zip(x, y)]
+
+
+def test_batch_det_sign_of_row_swaps():
+    p = 1049437
+    for n in range(1, 7):
+        flip = np.fliplr(np.eye(n, dtype=np.int64))
+        assert det_batch_mod(flip[None], p)[0] == (-1) ** (n * (n - 1) // 2) % p
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gaborglp.backends import COMPLEX_DTYPE, FloatBackend, embedding_primes
+from gaborglp import backends, monomials, operators
+from gaborglp.backends import COMPLEX_DTYPE, FloatBackend, ResidueBackend, det_mod, embedding_primes
 from gaborglp.monomials import (
     BudgetExceededError,
     ColumnProfile,
@@ -420,6 +421,88 @@ def test_q_polynomial_degree_bound_and_exponents():
                 alpha = monomial_of_class(prof, cls)
                 allowed.add(sum(i * i * a for i, a in enumerate(alpha)))
             assert set(q.exponents) <= allowed
+
+
+def scalar_q_value(support, n, ctx, t):
+    """The determinant at z_j = t^(j²): one Gabor matrix and one det_mod."""
+    entries = np.array([pow(t, j * j, ctx.prime) for j in range(n)], dtype=np.int64)
+    mat = gabor_matrix(Window(entries, ResidueBackend(ctx)), sorted(support)).matrix
+    return det_mod(mat.tolist(), ctx.prime)
+
+
+def q_value(q, t):
+    return sum(c * pow(t, e, q.context.prime) for e, c in enumerate(q.coeffs)) % q.context.prime
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_q_eval_points_match_per_point_determinants(n):
+    rng = random.Random(100 + n)
+    ctx = embedding_primes(n, 1, 20)[0]
+    count = n * (n - 1) ** 2 + 5
+    for _ in range(2):
+        support = random_support(rng, n)
+        batched = monomials._q_eval_points(support, n, ctx, count).tolist()
+        assert batched == [scalar_q_value(support, n, ctx, t) for t in range(count)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_q_polynomial_interpolates_scalar_determinants_wide_prime(n):
+    ctx = embedding_primes(n, 1, 32)[0]
+    rng = random.Random(200 + n)
+    support = random_support(rng, n)
+    q = q_polynomial(support, n, context=ctx)
+    assert q.context is ctx
+    # deg Q < count, so agreeing at the count grid points makes Q the interpolant
+    count = n * (n - 1) ** 2 + 5
+    for t in range(count):
+        assert q_value(q, t) == scalar_q_value(support, n, ctx, t)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_q_polynomial_off_grid_points(n):
+    rng = random.Random(300 + n)
+    support = random_support(rng, n)
+    q = q_polynomial(support, n)
+    # Q is defined on the sorted support, whatever order the caller uses
+    assert q_polynomial(support[::-1], n).coeffs == q.coeffs
+    count = n * (n - 1) ** 2 + 5
+    for t in [count, count + 1, 2 * count + 3] + [rng.randrange(count, q.context.prime) for _ in range(3)]:
+        assert q_value(q, t) == scalar_q_value(support, n, q.context, t)
+
+
+def test_q_polynomial_one_batched_determinant_per_prime(monkeypatch):
+    calls = []
+    kernel = monomials.det_batch_mod
+
+    def counted(mats, p):
+        calls.append(p)
+        return kernel(mats, p)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("Q must not build per-point matrices")
+
+    monkeypatch.setattr(monomials, "det_batch_mod", counted)
+    monkeypatch.setattr(operators, "gabor_matrix", forbidden)
+    monkeypatch.setattr(operators, "Window", forbidden)
+    monkeypatch.setattr(backends, "det_mod", forbidden)
+    q = q_polynomial([(0, 0), (0, 1), (1, 0)], 3)
+    assert calls == [q.context.prime]
+
+
+def test_q_polynomial_escalates_when_q_vanishes(monkeypatch):
+    calls = []
+    kernel = monomials.det_batch_mod
+
+    def vanish_first(mats, p):
+        calls.append(p)
+        dets = kernel(mats, p)
+        return dets * 0 if len(calls) == 1 else dets
+
+    monkeypatch.setattr(monomials, "det_batch_mod", vanish_first)
+    q = q_polynomial([(0, 0), (0, 1), (1, 0)], 3)
+    primes = [ctx.prime for ctx in embedding_primes(3, 2)]
+    assert calls == primes
+    assert q.context.prime == primes[1] and q.exponents == (2, 4, 9)
 
 
 def test_q_exponent_is_moment_identity():

@@ -15,7 +15,7 @@ from gaborglp.operators import (
     tf_shift,
     translate,
 )
-from gaborglp.windows import random_window
+from gaborglp.windows import power_window_root_of_unity, random_window
 
 FB = FloatBackend()
 
@@ -54,6 +54,26 @@ def test_gabor_matrix_example_n2():
     system = gabor_matrix(w, [(0, 0), (0, 1), (1, 0), (1, 1)])
     expected = np.array([[1, 1, 2, 2], [2, -2, 1, -1]], dtype=complex)
     assert np.allclose(system.matrix.astype(complex), expected)
+
+
+@pytest.mark.parametrize("backend", ["float", "exact", "exact-wide"])
+def test_gabor_matrix_equals_column_by_column_shifts(backend):
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 3, 5, 6):
+        if backend == "float":
+            b = FB
+            entries = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        else:
+            b = ResidueBackend(embedding_primes(n, 1, 33 if backend == "exact-wide" else 20)[0])
+            entries = rng.integers(1, b.prime, size=n)
+        w = Window(entries, b)
+        cells = [(k, l) for k in range(n) for l in range(n)]
+        for _ in range(4):
+            support = [cells[i] for i in rng.permutation(n * n)[: int(rng.integers(1, n * n + 1))]]
+            ours = gabor_matrix(w, support).matrix
+            cols = np.stack([tf_shift(w.entries, idx, b) for idx in support], axis=1)
+            assert ours.dtype == cols.dtype
+            assert np.array_equal(ours, cols)
 
 
 def test_gabor_matrix_single_column_and_duplicates():
@@ -156,6 +176,16 @@ def test_stft_exact_backend(exact_window_4):
     assert v[0, 0] == 4 % p  # ⟨w,w⟩ = N for a unimodular window
     # exact entries agree with the float image pattern of zeros (none here)
     assert v.shape == (4, 4)
+    # against the scalar loop ⟨f, π(κ,λ)w⟩ = Σ_j f_j·conj(G[j, κN+λ]), conj = inverse
+    for w in (exact_window_4, power_window_root_of_unity(4, 40)):
+        p = w.backend.prime
+        G = system_matrix(w)
+        f = np.random.default_rng(1).integers(0, p, size=4)
+        want = [
+            [sum(int(f[j]) * pow(int(G[j, 4 * k + l]), p - 2, p) for j in range(4)) % p for l in range(4)]
+            for k in range(4)
+        ]
+        assert stft(f, w).tolist() == want
 
 
 def test_stft_exact_requires_unimodular():
