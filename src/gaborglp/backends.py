@@ -23,6 +23,7 @@ determinant is zero.  Two interchangeable backends answer that question:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -137,14 +138,15 @@ def _element_of_order(p: int, order: int) -> int:
     raise ArithmeticError(f"no element of order {order} mod {p}")  # unreachable for prime p
 
 
+@functools.lru_cache
 def embedding_primes(
     order: int, count: int, min_bits: int = DEFAULT_MIN_BITS
-) -> list[CyclotomicContext]:
+) -> tuple[CyclotomicContext, ...]:
     """The `count` smallest primes p ≥ 2**min_bits with p ≡ 1 (mod order),
     ascending, each with a root of exact order `order`.
 
     Dirichlet guarantees such primes exist; the candidate ceiling only guards
-    against misconfiguration.
+    against misconfiguration.  Results are cached, hence an immutable tuple.
     """
     if order < 1 or min_bits < 1:
         raise ValueError("order and min_bits must be positive")
@@ -160,7 +162,7 @@ def embedding_primes(
         budget -= 1
     if len(out) < count:
         raise SearchBoundExceededError(f"could not find {count} primes ≡ 1 (mod {order})")
-    return out
+    return tuple(out)
 
 
 def embed_rational_complex(

@@ -10,9 +10,11 @@ Exhaustive mode checks one support per translation orbit.  As π(a,b)·π(κ,λ)
 = ω^c·π(κ+a, λ+b), the matrix of Λ+(a,b) is π(a,b) times the matrix of Λ
 times a diagonal of powers of ω and a permutation, so whether the minor
 vanishes is constant on the orbit, over ℂ and mod every embedding prime.
-The exact scan runs the kernel on representatives and reports every member
-of a dependent orbit; the float scan tests every member, since rounding
-makes float moduli and witnesses differ across an orbit.
+Representatives grow column by column under a necessary bound, then pass
+an exact test (`_representatives`).  The exact scan runs the kernel on
+representatives and reports every member of a dependent orbit; the float
+scan tests every member, since rounding makes float moduli and witnesses
+differ across an orbit.
 
 Soundness convention for the exact backend: a nonzero residue mod p proves
 the minor nonzero; a zero residue is only "zero mod p" and is escalated
@@ -124,20 +126,31 @@ def _shifted(masks: np.ndarray, n: int, e: np.ndarray) -> np.ndarray:
 def _representatives(n: int, size: int):
     """Blocks of (orbit representatives, orbit sizes) covering every support.
 
-    A representative is the lexicographically least member of its orbit, so
-    it contains column 0: a support Λ ∋ 0 is one when no Λ-e, e ∈ Λ (its
-    translates that contain 0), is smaller.  The e with Λ-e = Λ form its
-    stabilizer."""
-    nn = n * n
-    # the supports that contain column 0 come first in lexicographic order
-    with_zero = itertools.islice(itertools.combinations(range(nn), n), math.comb(nn - 1, n - 1))
-    cells = itertools.chain.from_iterable(with_zero)
-    while (cand := np.fromiter(itertools.islice(cells, size * n), np.intp).reshape(-1, n)).size:
-        own = _mask(cand, n)[:, None]
-        masks = _shifted(own, n, cand)
-        least = (masks <= own).all(axis=1)
-        stabilizer = (masks[least] == own[least]).sum(axis=1)
-        yield cand[least].astype(np.int64), nn // stabilizer
+    A representative is the lexicographically least member Λ = {0 < c₁ < …}
+    of its orbit: no Λ-e, e ∈ Λ (its translates that contain 0), is smaller;
+    the e with Λ-e = Λ form its stabilizer.  As Λ-y sorts as (0, min col(x-y),
+    …), every difference col(x-y), x ≠ y, is ≥ c₁, so rows grow a column y at
+    a time while `low`, y's least difference from the row, is ≥ c₁; depth
+    first in slices of size // N rows, so a block's minors hold ≤ `size`·N entries."""
+    nn, step, col = n * n, max(1, size // n), np.arange(n * n)
+    diff = (col[:, None] // n - col // n) % n * n + (col[:, None] - col) % n  # col(x-y)
+    sep = np.minimum(diff, diff.T).astype(np.uint8)
+
+    def grow(rows, low):
+        d = rows.shape[1]
+        if d == n:
+            own = _mask(rows, n)[:, None]
+            masks = _shifted(own, n, rows)
+            least = (masks <= own).all(axis=1)
+            yield rows[least], nn // (masks[least] == own[least]).sum(axis=1)
+            return
+        c1 = rows[:, 1:2] if d > 1 else col  # a row of one column takes y as c₁
+        r, y = np.nonzero((low >= c1) & (col > rows[:, -1:]) & (col <= nn - n + d))
+        for s in range(0, len(r), step):
+            rs, ys = r[s : s + step], y[s : s + step]
+            yield from grow(np.column_stack([rows[rs], ys]), np.minimum(low[rs], sep[ys]))
+
+    yield from grow(np.zeros((1, 1), np.int64), sep[:1])
 
 
 def _orbit_members(reps: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -18,6 +18,7 @@ from gaborglp.backends import (
 )
 from gaborglp.operators import Window, gabor_matrix, system_matrix
 from gaborglp.verify import (
+    DEFAULT_CHUNK,
     SupportEnumeration,
     _escalate,
     _exact_windows,
@@ -88,6 +89,28 @@ def test_orbits_at_the_full_mask_width():
         assert tuple(rep) == min(orbit) and weight == len(orbit)
         assert {tuple(m) for m in members[start : start + weight].tolist()} == orbit
         start += weight
+
+
+@pytest.mark.parametrize("n, size", [(5, 1), (6, 97), (6, DEFAULT_CHUNK)])
+def test_exhaustive_blocks_are_bounded_and_increasing(n, size):
+    # blocks hold at most `size` rows, and representatives rise strictly
+    # across blocks, so no orbit is listed twice
+    blocks = list(SupportEnumeration(n, "exhaustive").chunks(size))
+    assert all(len(reps) <= size for reps, _ in blocks)
+    reps = [tuple(row) for block, _ in blocks for row in block.tolist()]
+    assert reps == sorted(set(reps))
+    assert len(reps) == {5: 2130, 6: 54192}[n]
+    assert sum(int(weights.sum()) for _, weights in blocks) == math.comb(n * n, n)
+
+
+def test_least_translates_pass_the_difference_bound():
+    # a least translate {0 < c₁ < …} has every column difference ≥ c₁, so
+    # growing rows under that bound drops no representative
+    for n in range(1, 6):
+        for s in itertools.combinations(range(n * n), n):
+            if s[0] == 0 and s == min(translates(s, n)):
+                diffs = [(x // n - y // n) % n * n + (x - y) % n for x in s for y in s if x != y]
+                assert min(diffs, default=0) >= min(s[1:], default=0)
 
 
 def test_sampled_enumeration_reproducible_and_distinct():
@@ -218,12 +241,19 @@ def test_verify_glp_exact_dependent_reports_primes():
     assert len(report.primes_used) == 3
 
 
-def test_verify_glp_worker_count_invariance(exact_window_4):
+def test_verify_glp_worker_count_invariance(exact_window_4, exact_window_5):
     enum = SupportEnumeration(4, "exhaustive")
     r1 = verify_glp(exact_window_4, enum, workers=1, chunk_size=300)
     r2 = verify_glp(exact_window_4, enum, workers=2, chunk_size=300)
     d1, d2 = r1.to_dict(), r2.to_dict()
     assert d1 == d2
+    # small blocks split the candidates that share a prefix (0, c₁, c₂)
+    enum = SupportEnumeration(5, "exhaustive")
+    blocks = [reps for reps, _ in enum.chunks(50)]
+    assert any((a[-1, :3] == b[0, :3]).all() for a, b in zip(blocks, blocks[1:]))
+    r1 = verify_glp(exact_window_5, enum, workers=1, chunk_size=50)
+    r2 = verify_glp(exact_window_5, enum, workers=2, chunk_size=50)
+    assert r1.supports_tested == math.comb(25, 5) and r1.to_dict() == r2.to_dict()
 
 
 def test_verify_glp_worker_count_invariance_with_dependent_orbits():
