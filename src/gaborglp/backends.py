@@ -18,7 +18,8 @@ determinant is zero.  Two interchangeable backends answer that question:
   zero tolerance.  A determinant counts as zero when |det| is strictly below
   eps times the matrix's max entry modulus (`FloatBackend.is_zero`); the
   extended mantissa keeps elimination noise on genuinely singular systems
-  far below that threshold.
+  far below that threshold.  Float determinants come from one batched kernel,
+  `det_batch_float`; scalar `det_float` is that kernel on a stack of one.
 """
 
 from __future__ import annotations
@@ -268,33 +269,17 @@ def det_batch_nonzero_mod(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 def det_float(mat: np.ndarray) -> complex:
-    """Determinant by partially pivoted elimination, in the input dtype.
-
-    Implemented directly (instead of LAPACK) so that extended-precision
-    complex matrices are supported.
-    """
-    m = np.array(mat, copy=True)
-    n, n2 = m.shape
-    if n != n2:
-        raise ValueError("matrix must be square")
-    det = m.dtype.type(1)
-    for k in range(n):
-        piv = int(np.abs(m[k:, k]).argmax()) + k
-        if m[piv, k] == 0:
-            return m.dtype.type(0)
-        if piv != k:
-            m[[k, piv]] = m[[piv, k]]
-            det = -det
-        det *= m[k, k]
-        if k + 1 < n:
-            m[k + 1 :, k:] -= (m[k + 1 :, k] / m[k, k])[:, None] * m[k, k:]
-    return det
+    """Determinant of one complex matrix: `det_batch_float` on a stack of one."""
+    return det_batch_float(np.asarray(mat)[None])[0]
 
 
 def det_batch_float(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of complex matrices (any complex dtype)."""
+    """Determinants of a stack of complex matrices by partially pivoted elimination
+    in the input dtype, so extended precision works where LAPACK would not."""
     m = np.array(mats, copy=True)
-    B, n, _ = m.shape
+    B, n, n2 = m.shape
+    if n != n2:
+        raise ValueError("matrices must be square")
     det = np.ones(B, dtype=m.dtype)
     idx = np.arange(B)
     for k in range(n):
@@ -305,7 +290,9 @@ def det_batch_float(mats: np.ndarray) -> np.ndarray:
         m[:, k, k:] = prows
         det[piv > 0] = -det[piv > 0]
         a = m[:, k, k]
-        det *= a
+        # not in place: numpy runs an in-place product of length one as a reduction,
+        # which rounds complex128 unlike the vector loop of a longer stack
+        det = det * a
         if k + 1 < n:
             safe = np.where(a == 0, m.dtype.type(1), a)
             f = (m[:, k + 1 :, k] / safe[:, None])[:, :, None]

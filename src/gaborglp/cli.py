@@ -39,10 +39,6 @@ from .operators import Window
 SCHEMA_VERSION = 1
 
 
-class SystemExit2(Exception):
-    """Configuration error mapped to exit code 2."""
-
-
 def _timing(start: float) -> dict:
     return {
         "generated_at": datetime.now(timezone.utc).isoformat(),
@@ -84,7 +80,7 @@ def _build_window(args, n: int) -> Window:
             return windows.power_window_root_of_unity(n, args.prime_bits)
         if spec == "ones":
             return windows.ones_window_exact(n, args.prime_bits)
-        raise SystemExit2(f"window {spec!r} is not available under the exact backend")
+        raise ValueError(f"window {spec!r} is not available under the exact backend")
     fb = FloatBackend(eps=eps)
     if spec == "constructed":
         return windows.power_window_root_of_unity_float(n, fb)
@@ -94,7 +90,7 @@ def _build_window(args, n: int) -> Window:
         return windows.ones_window(n, fb)
     if spec == "pi":
         return windows.power_window_generic(n, math.pi, fb)
-    raise SystemExit2(f"unknown window {spec!r}")
+    raise ValueError(f"unknown window {spec!r}")
 
 
 def cmd_construct(args) -> int:
@@ -126,7 +122,7 @@ def cmd_verify(args) -> int:
     n = args.n
     window = _build_window(args, n)
     if window.backend.kind != args.backend:
-        raise SystemExit2(
+        raise ValueError(
             f"window backend {window.backend.kind!r} does not match --backend {args.backend!r}"
         )
     if args.mode == "sampled":
@@ -134,7 +130,7 @@ def cmd_verify(args) -> int:
     else:
         budget = math.comb(n * n, n)
         if budget > args.exhaustive_budget:
-            raise SystemExit2(
+            raise ValueError(
                 f"exhaustive mode needs {budget} supports; over budget "
                 f"{args.exhaustive_budget} — use --mode sampled"
             )
@@ -187,9 +183,9 @@ def _parse_support(text: str, n: int) -> list[tuple[int, int]]:
         k, l = part.split(",")
         out.append((int(k) % n, int(l) % n))
     if len(out) != n:
-        raise SystemExit2(f"support must contain exactly {n} indices, got {len(out)}")
+        raise ValueError(f"support must contain exactly {n} indices, got {len(out)}")
     if len(set(out)) != n:
-        raise SystemExit2("support contains duplicate indices")
+        raise ValueError("support contains duplicate indices")
     return out
 
 
@@ -264,7 +260,7 @@ def cmd_simulate(args) -> int:
     erasures = args.erasures if args.erasures is not None else n * n - n
     window = _build_window(args, n)
     if window.backend.kind != "float":
-        raise SystemExit2("simulate requires a float-backend window")
+        raise ValueError("simulate requires a float-backend window")
     lines = []
     failures = 0
     max_err = 0.0
@@ -395,9 +391,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit2 as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TimeFreqIndex, Window, full_support, shifted_window, stft, tf_shift
+from .operators import TimeFreqIndex, Window, full_support, gabor_matrix, stft, tf_shift
 
 
 class InsufficientPacketsError(ValueError):
@@ -122,9 +122,7 @@ def decode(packets, window: Window) -> np.ndarray:
     if len({(p.kappa, p.lam) for p in packets}) != len(packets):
         raise ValueError("duplicate packet indices")
     dtype = window.backend.dtype
-    A = np.stack(
-        [np.conj(shifted_window(window, (p.kappa, p.lam))) for p in packets]
-    ).astype(dtype)
+    A = np.conj(gabor_matrix(window, [(p.kappa, p.lam) for p in packets]).matrix.T)
     b = np.array([p.value for p in packets], dtype=dtype)
     return _solve_consistent(A, b, window.backend.eps)
 
@@ -146,7 +144,7 @@ def identify_operator(observed: np.ndarray, support, window: Window) -> Operator
             f"|support| = {len(support)} > {n}: identification cannot be injective"
         )
     observed = np.asarray(observed, dtype=window.backend.dtype)
-    B = np.stack([shifted_window(window, idx) for idx in support], axis=1)
+    B = gabor_matrix(window, support).matrix
     c = _solve_consistent(B, observed, window.backend.eps)
     return OperatorCoefficients(support, c)
 

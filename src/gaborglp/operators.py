@@ -120,10 +120,6 @@ def tf_shift(x: np.ndarray, idx: TimeFreqIndex, backend) -> np.ndarray:
     return modulate(translate(x, kappa), lam, backend)
 
 
-def shifted_window(window: Window, idx: TimeFreqIndex) -> np.ndarray:
-    return tf_shift(window.entries, idx, window.backend)
-
-
 def full_support(n: int) -> list[TimeFreqIndex]:
     """All of (Z/NZ)² in lexicographic (κ,λ) order — the canonical column order."""
     return [(k, l) for k in range(n) for l in range(n)]

@@ -32,6 +32,7 @@ import random
 import time
 from contextlib import suppress
 from dataclasses import dataclass, field
+from functools import partial
 from multiprocessing import Pool
 
 import numpy as np
@@ -199,10 +200,10 @@ def _exact_windows(window: Window, num_primes: int) -> list[Window]:
     return wins
 
 
-def _float_witness(matrix: np.ndarray) -> np.ndarray:
-    """Numerical null vector of the columns (least singular direction)."""
-    _, _, vh = np.linalg.svd(np.asarray(matrix, dtype=np.complex128))
-    return np.conj(vh[-1])
+def _float_witness(mats: np.ndarray) -> np.ndarray:
+    """Numerical null vectors (least singular directions) of a stack of matrices."""
+    _, _, vh = np.linalg.svd(np.asarray(mats, dtype=np.complex128))
+    return np.conj(vh[:, -1])
 
 
 def check_support(
@@ -226,7 +227,8 @@ def check_support(
     det = det_float(mat)
     modulus = float(abs(complex(det)))
     if window.backend.is_zero(det, np.abs(mat).max()):
-        return SupportVerdict(support, False, det_modulus=modulus, witness=_float_witness(mat))
+        witness = _float_witness(mat[None])[0]
+        return SupportVerdict(support, False, det_modulus=modulus, witness=witness)
     return SupportVerdict(support, True, det_modulus=modulus)
 
 
@@ -256,7 +258,7 @@ def _escalate(minors, primes: list[int]) -> tuple[np.ndarray, list[int]]:
 
 
 def _scan_chunk_exact(sel: np.ndarray, weights: np.ndarray, embeddings) -> tuple:
-    """Escalate the chunk's rows; every member of a dependent row fails."""
+    """Escalate the chunk's rows; each member of a dependent row fails as (cols, residues)."""
     primes = [p for _, p in embeddings]
     dependent, used = _escalate(
         lambda i, rows: embeddings[i][0][:, sel[rows]].transpose(1, 0, 2), primes
@@ -268,37 +270,32 @@ def _scan_chunk_exact(sel: np.ndarray, weights: np.ndarray, embeddings) -> tuple
 
 
 def _scan_chunk_float(sel: np.ndarray, weights: np.ndarray, cols: np.ndarray, backend) -> tuple:
-    """Scan every member of the chunk (float moduli are not orbit invariant)."""
+    """Scan every member of the chunk (float moduli are not orbit invariant); a
+    failure is (cols, None, |det|, witness), in `DependentSupport` field order."""
     members = _orbit_members(sel, weights)
     failures = []
     for start in range(0, len(members), DEFAULT_CHUNK):
         mats = cols[:, members[start : start + DEFAULT_CHUNK]].transpose(1, 0, 2)
         dets = det_batch_float(mats)
-        flagged = backend.is_zero(dets, np.abs(mats).max(axis=(1, 2)))
-        for row in np.nonzero(flagged)[0]:
-            mat = mats[row]
-            det = det_float(mat)
-            if backend.is_zero(det, np.abs(mat).max()):
-                colsel = tuple(int(c) for c in members[start + row])
-                failures.append((colsel, float(abs(complex(det))), _float_witness(mat)))
+        rows = np.flatnonzero(backend.is_zero(dets, np.abs(mats).max(axis=(1, 2))))
+        witnesses = _float_witness(mats[rows])
+        # abs(complex(d)), not abs(d): a long-double abs rounds the last bit differently
+        failures += [
+            (tuple(int(c) for c in members[start + r]), None, float(abs(complex(dets[r]))), w)
+            for r, w in zip(rows, witnesses)
+        ]
     return int(weights.sum()), failures, []
-
-
-def _scan(kind: str, payload, chunk) -> tuple[int, list, list[int]]:
-    if kind == "exact":
-        return _scan_chunk_exact(*chunk, payload)
-    return _scan_chunk_float(*chunk, *payload)
 
 
 _WORKER: dict = {}
 
 
-def _worker_init(kind, payload):
-    _WORKER["args"] = (kind, payload)
+def _worker_init(scan):
+    _WORKER["scan"] = scan
 
 
 def _worker_scan(chunk):
-    return _scan(*_WORKER["args"], chunk)
+    return _WORKER["scan"](*chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +378,10 @@ def verify_glp(
     start = time.perf_counter()
     kind = window.backend.kind
     if kind == "exact":
-        payload = [(system_matrix(w), w.backend.prime) for w in _exact_windows(window, num_primes)]
+        embeddings = [(system_matrix(w), w.backend.prime) for w in _exact_windows(window, num_primes)]
+        scan = partial(_scan_chunk_exact, embeddings=embeddings)
     else:
-        payload = (system_matrix(window), window.backend)
+        scan = partial(_scan_chunk_float, cols=system_matrix(window), backend=window.backend)
 
     tested = 0
     raw_failures: list = []
@@ -402,19 +400,16 @@ def verify_glp(
 
     if workers <= 1:
         for chunk in enumeration.chunks(chunk_size):
-            absorb(_scan(kind, payload, chunk))
+            absorb(scan(*chunk))
     else:
-        with Pool(workers, initializer=_worker_init, initargs=(kind, payload)) as pool:
+        with Pool(workers, initializer=_worker_init, initargs=(scan,)) as pool:
             for result in pool.imap(_worker_scan, enumeration.chunks(chunk_size)):
                 absorb(result)
 
-    dependent = []
-    for fail in sorted(raw_failures, key=lambda f: f[0]):
-        support = columns_to_support(fail[0], n)
-        if kind == "exact":
-            dependent.append(DependentSupport(support, residues=fail[1]))
-        else:
-            dependent.append(DependentSupport(support, det_modulus=fail[1], witness=fail[2]))
+    dependent = [
+        DependentSupport(columns_to_support(cols, n), *rest)
+        for cols, *rest in sorted(raw_failures, key=lambda f: f[0])
+    ]
 
     elapsed = time.perf_counter() - start
     return VerificationReport(

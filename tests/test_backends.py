@@ -8,6 +8,7 @@ from gaborglp.backends import (
     CyclotomicContext,
     FloatBackend,
     ResidueBackend,
+    det_batch_float,
     det_batch_mod,
     det_batch_nonzero_mod,
     det_float,
@@ -153,6 +154,46 @@ def test_det_float_matches_numpy():
         ours = complex(det_float(m.astype(COMPLEX_DTYPE)))
         ref = complex(np.linalg.det(m))
         assert abs(ours - ref) < 1e-10 * abs(ref)
+
+
+def same_bits(a, b) -> bool:
+    pairs = ((a.real, b.real), (a.imag, b.imag))
+    return a == b and all(np.signbit(x) == np.signbit(y) for x, y in pairs)
+
+
+@given(
+    st.integers(1, 6),
+    st.sampled_from([COMPLEX_DTYPE, np.complex128]),
+    st.permutations(range(8)),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_float_det(n, dtype, order, seed):
+    rng = np.random.default_rng(seed)
+    batch = rng.standard_normal((8, n, n)) + 1j * rng.standard_normal((8, n, n))
+    batch[0] = 0
+    # a scaled anti-diagonal permutation: a row swap at every step
+    batch[1] = np.fliplr(np.diag(rng.standard_normal(n) + 1j))
+    # zero leading column: the first pivot is zero, so the matrix is singular
+    batch[2, :, 0] = 0
+    batch[3, :, -1] = 0
+    batch[4, n // 2] = 0
+    singular = [0, 2, 3, 4]
+    if n > 1:
+        batch[5, 0, 0] = 0  # nonsingular, but the first pivot is a swap
+        # a repeated row: singular, but elimination leaves rounding noise
+        batch[6, -1] = batch[6, 0]
+    batch = batch[list(order)].astype(dtype)
+    singular = [order.index(i) for i in singular]
+
+    dets = det_batch_float(batch)
+    ref = np.linalg.det(batch.astype(np.complex128))
+    hadamard = np.prod(np.linalg.norm(batch.astype(np.complex128), axis=1), axis=1)
+    assert dets.dtype == dtype
+    assert (np.abs(dets.astype(np.complex128) - ref) <= 1e-10 * hadamard).all()
+    # no leakage across rows: each row equals the same matrix as a stack of one
+    assert all(same_bits(det_batch_float(mat[None])[0], det) for mat, det in zip(batch, dets))
+    assert (dets[singular] == 0).all()
 
 
 def test_determinant_row_swap_flips_sign():

@@ -16,7 +16,7 @@ from gaborglp.codec import (
     random_erasure,
     support_bound_check,
 )
-from gaborglp.operators import Window, full_support, gabor_matrix, shifted_window
+from gaborglp.operators import Window, full_support, gabor_matrix, tf_shift
 from gaborglp.windows import ones_window
 
 FB = FloatBackend()
@@ -82,8 +82,9 @@ def test_decode_minimal_survivors(float_window_4):
     recovered = decode(survivors, float_window_4)
     assert rel_error(recovered, f) <= 1e-8
     # independent oracle: direct solve of the 4×4 analysis system
+    w = float_window_4
     A = np.stack(
-        [np.conj(shifted_window(float_window_4, (p.kappa, p.lam))) for p in survivors]
+        [np.conj(tf_shift(w.entries, (p.kappa, p.lam), w.backend)) for p in survivors]
     ).astype(np.complex128)
     b = np.array([complex(p.value) for p in survivors])
     oracle = np.linalg.solve(A, b)
@@ -144,7 +145,7 @@ def test_roundtrip_many_patterns(
 
 def test_identify_single_shift(float_window_4):
     support = [(0, 0), (1, 2), (3, 1), (2, 2)]
-    observed = shifted_window(float_window_4, (1, 2))
+    observed = tf_shift(float_window_4.entries, (1, 2), float_window_4.backend)
     coeffs = identify_operator(observed, support, float_window_4)
     expected = np.zeros(4)
     expected[support.index((1, 2))] = 1
@@ -156,13 +157,14 @@ def test_identify_random_operator(float_window_4):
 
     rng = np.random.default_rng(8)
     srng = pyrandom.Random(8)
+    w = float_window_4
     for _ in range(20):
         support = srng.sample(full_support(4), 4)
         c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         # observed action on the window itself (the forward-map oracle)
-        observed = np.zeros(4, dtype=float_window_4.backend.dtype)
+        observed = np.zeros(4, dtype=w.backend.dtype)
         for idx, ci in zip(support, c):
-            observed = observed + ci * shifted_window(float_window_4, idx)
+            observed = observed + ci * tf_shift(w.entries, idx, w.backend)
         coeffs = identify_operator(observed, support, float_window_4)
         assert np.allclose(coeffs.coefficients.astype(complex), c, atol=1e-8)
 
@@ -184,8 +186,9 @@ def test_identify_smaller_support(float_window_4):
     # |Λ| < N is still injective for a GLP window
     support = [(1, 1), (2, 0)]
     c = np.array([2.0, -1j])
-    observed = 2.0 * shifted_window(float_window_4, (1, 1)) - 1j * shifted_window(
-        float_window_4, (2, 0)
+    w = float_window_4
+    observed = 2.0 * tf_shift(w.entries, (1, 1), w.backend) - 1j * tf_shift(
+        w.entries, (2, 0), w.backend
     )
     coeffs = identify_operator(observed, support, float_window_4)
     assert np.allclose(coeffs.coefficients.astype(complex), c, atol=1e-10)
@@ -193,7 +196,7 @@ def test_identify_smaller_support(float_window_4):
 
 def test_identify_ambiguous_beyond_dimension(float_window_4):
     support = full_support(4)[:5]
-    observed = shifted_window(float_window_4, (0, 0))
+    observed = tf_shift(float_window_4.entries, (0, 0), float_window_4.backend)
     with pytest.raises(AmbiguousOperatorError):
         identify_operator(observed, support, float_window_4)
 

@@ -1,0 +1,50 @@
+"""Golden reports: fixed CLI configurations must keep their exact output.
+
+Each case runs the CLI in-process and compares the sha256 of its JSON report,
+without the "timing" block, to a digest recorded from an earlier revision.  A
+change that alters any other byte of a report, or an exit code, fails here;
+update a digest only together with a stated reason for the new report.  Float
+reports drop `det_modulus` and `witness`, which are platform round-off.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from gaborglp.cli import main
+
+CASES = [
+    ("verify --n 4", 0, "16f372fae68e1fa0e771f91f00eda13cae155bd2c1c94656642ba5b43338f27d"),
+    ("verify --n 5", 0, "545496b27296d554f4408de08e90e5c17f1f8146a7fb382910eb694bcc1ff48d"),
+    (
+        "verify --n 4 --window ones",
+        1,
+        "8a7b6cc93a6c68397d29812306a0d96fe08acbef3957f16860fe3b11fa30eae4",
+    ),
+    (
+        "verify --n 4 --window ones --backend float",
+        1,
+        "a046f42030e1957cecb6c33e97ca24e42eb9305a011f3531da5e170028ebe60f",
+    ),
+    (
+        "verify --n 7 --mode sampled --count 2000 --seed 3",
+        0,
+        "6a27a6324f04028b3850be869fd60f1e4a8521c96f82956cbc89b97c1bb76f7d",
+    ),
+    ("fourier-check --p 5", 0, "1338b3438ffefd4883ca54d5b7d49719ec9d59c5a4d5c46d17f3806c433b4bc3"),
+    ("construct --n 5", 0, "d631ceed8146bdfe92abd0a18493329631ab86227e485f76b600f145c063563c"),
+]
+
+
+@pytest.mark.parametrize("argv,code,digest", CASES, ids=[c[0] for c in CASES])
+def test_report_digest(argv, code, digest, tmp_path):
+    out = tmp_path / "report.json"
+    assert main([*argv.split(), "--output", str(out)]) == code
+    report = json.loads(out.read_text())
+    del report["timing"]
+    if "--backend float" in argv:
+        for dep in report["result"]["dependent_supports"]:
+            del dep["det_modulus"], dep["witness"]
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -377,15 +377,18 @@ def test_orbit_scan_matches_full_enumeration(n, make):
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_float_scan_tests_every_orbit_member(n):
+    # the scan's moduli and batched witnesses equal, bit for bit, those that
+    # check_support computes for each support on its own
     window = ones_window(n)
     report = verify_glp(window, SupportEnumeration(n, "exhaustive"), chunk_size=7)
     expected = []
     for cols in itertools.combinations(range(n * n), n):
         verdict = check_support(window, columns_to_support(cols, n))
         if not verdict.independent:
-            expected.append((verdict.support, verdict.det_modulus))
+            expected.append((verdict.support, verdict.det_modulus, verdict.witness.tobytes()))
     assert report.supports_tested == math.comb(n * n, n)
-    assert [(d.support, d.det_modulus) for d in report.dependent] == expected
+    got = [(d.support, d.det_modulus, d.witness.tobytes()) for d in report.dependent]
+    assert got == expected
 
 
 @given(
