@@ -51,7 +51,6 @@ from .monomials import (
     verify_ci_uniqueness,
 )
 from .operators import (
-    GaborSystem,
     Window,
     frame_operator_defect,
     full_support,

@@ -338,12 +338,12 @@ class FloatBackend:
     """Floating backend: extended-precision complex with a relative zero tolerance."""
 
     kind = "float"
+    dtype = np.dtype(COMPLEX_DTYPE)
 
-    def __init__(self, eps: float = DEFAULT_EPS, dtype=COMPLEX_DTYPE):
+    def __init__(self, eps: float = DEFAULT_EPS):
         if eps <= 0:
             raise ValueError("eps must be positive")
         self.eps = float(eps)
-        self.dtype = np.dtype(dtype)
         self._omega_cache: dict[int, np.ndarray] = {}
 
     def omega_table(self, n: int) -> np.ndarray:

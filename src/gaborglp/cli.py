@@ -202,19 +202,15 @@ def cmd_analyze(args) -> int:
         ci_alpha = monomials.ci_monomial(nprof)
         coeff = monomials.ci_coefficient(support, n)
         uniq = monomials.verify_ci_uniqueness(nprof, max_classes=args.class_budget)
-        moment_table = []
-        if nprof.class_count() <= args.class_budget:
-            for cls in monomials.partition_classes(nprof):
-                alpha = monomials.monomial_of_class(nprof, cls)
-                mom = monomials.monomial_moments(alpha)
-                moment_table.append(
-                    {
-                        "class": [list(b) for b in cls],
-                        "monomial": monomials.monomial_str(alpha),
-                        "first_moment": str(mom.first),
-                        "second_moment": str(mom.second),
-                    }
-                )
+        moment_table = [
+            {
+                "class": [list(b) for b in cls],
+                "monomial": monomials.monomial_str(alpha),
+                "first_moment": str(mom.first),
+                "second_moment": str(mom.second),
+            }
+            for cls, alpha, mom in uniq.classes
+        ]
         interval = monomials.interval_of_profile(nprof)
         records.append(
             {

@@ -122,7 +122,7 @@ def decode(packets, window: Window) -> np.ndarray:
     if len({(p.kappa, p.lam) for p in packets}) != len(packets):
         raise ValueError("duplicate packet indices")
     dtype = window.backend.dtype
-    A = np.conj(gabor_matrix(window, [(p.kappa, p.lam) for p in packets]).matrix.T)
+    A = np.conj(gabor_matrix(window, [(p.kappa, p.lam) for p in packets]).T)
     b = np.array([p.value for p in packets], dtype=dtype)
     return _solve_consistent(A, b, window.backend.eps)
 
@@ -144,7 +144,7 @@ def identify_operator(observed: np.ndarray, support, window: Window) -> Operator
             f"|support| = {len(support)} > {n}: identification cannot be injective"
         )
     observed = np.asarray(observed, dtype=window.backend.dtype)
-    B = gabor_matrix(window, support).matrix
+    B = gabor_matrix(window, support)
     c = _solve_consistent(B, observed, window.backend.eps)
     return OperatorCoefficients(support, c)
 

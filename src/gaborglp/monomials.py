@@ -38,6 +38,7 @@ import numpy as np
 
 from .backends import (
     DEFAULT_MIN_BITS,
+    DEFAULT_NUM_PRIMES,
     CyclotomicContext,
     ResidueBackend,
     det_batch_mod,
@@ -53,7 +54,7 @@ class DimensionTooLargeError(ValueError):
     """Request exceeds the factorial enumeration budget."""
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(ValueError):
     """Class enumeration would exceed the configured budget."""
 
 
@@ -401,17 +402,15 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def expand_determinant(
-    support, n: int, max_dimension: int = 6
-) -> dict[Monomial, CyclicPoly]:
+def expand_determinant(support, n: int) -> dict[Monomial, CyclicPoly]:
     """Full symbolic determinant expansion by enumerating all N! diagonals.
 
     Returns {exponent vector: coefficient in Z[x]/(x^N-1)}, dropping
     monomials whose coefficient representative is identically zero.  The
     support is used in lexicographic column order.  This is the brute-force
-    oracle against which the closed-form machinery is validated.
+    oracle against which the closed-form machinery is validated; N is capped at 6.
     """
-    if n > max_dimension:
+    if n > 6:
         raise DimensionTooLargeError(f"refusing the {n}! diagonal enumeration")
     support = sorted((k % n, l % n) for k, l in support)
     if len(support) != n or len(set(support)) != n:
@@ -482,7 +481,7 @@ class CIUniquenessReport:
     ci_class_hits: int
     first_moment_minimal: bool
     second_moment_strict: bool
-    second_moments: list[Fraction]
+    classes: list[tuple]  # (class, monomial, MomentPair), in enumeration order
 
     @property
     def passed(self) -> bool:
@@ -497,6 +496,8 @@ def verify_ci_uniqueness(
     (a) exactly one class produces the CI exponent vector;
     (b) the CI monomial has minimal first moment;
     (c) every non-canonical class has strictly larger second moment.
+
+    Each class comes back with its monomial and moments, in enumeration order.
     """
     if not profile.is_normalized:
         raise ValueError("verify_ci_uniqueness requires a normalized profile")
@@ -510,18 +511,18 @@ def verify_ci_uniqueness(
     hits = 0
     first_ok = True
     second_ok = True
-    seconds: list[Fraction] = []
+    classes = []
     for cls in partition_classes(profile):
         alpha = monomial_of_class(profile, cls)
         m = monomial_moments(alpha)
-        seconds.append(m.second)
+        classes.append((cls, alpha, m))
         if alpha == ci_alpha:
             hits += 1
         if m.first < ci_m.first:
             first_ok = False
         if cls != canon and m.second <= ci_m.second:
             second_ok = False
-    return CIUniquenessReport(profile, len(seconds), hits, first_ok, second_ok, seconds)
+    return CIUniquenessReport(profile, len(classes), hits, first_ok, second_ok, classes)
 
 
 def enumerate_profiles(n: int) -> Iterator[ColumnProfile]:
@@ -591,33 +592,25 @@ def _q_eval_points(support, n: int, ctx: CyclotomicContext, count: int) -> np.nd
     return det_batch_mod(mats, ctx.prime)
 
 
-def _q_contexts(n: int, min_bits: int, num_primes: int):
-    """Embedding primes for Q, found only as they are needed."""
+def _q_contexts(n: int, min_bits: int):
+    """The `DEFAULT_NUM_PRIMES` embedding primes for Q, found only as they are needed."""
     yield from embedding_primes(n, 1, min_bits)
-    yield from embedding_primes(n, num_primes, min_bits)[1:]
+    yield from embedding_primes(n, DEFAULT_NUM_PRIMES, min_bits)[1:]
 
 
-def q_polynomial(
-    support,
-    n: int,
-    context: CyclotomicContext | None = None,
-    min_bits: int = DEFAULT_MIN_BITS,
-    degree_slack: int = 4,
-    escalation_primes: int = 3,
-) -> QPolynomial:
+def q_polynomial(support, n: int, min_bits: int = DEFAULT_MIN_BITS) -> QPolynomial:
     """Coefficients of Q(x), by exact evaluation/interpolation mod p.
 
-    The determinant with z_j = t^(j²) is evaluated at N(N-1)² + 1 + slack
-    points and interpolated.  The slack coefficients beyond the degree bound
-    N(N-1)² are checked to vanish.  Q is a nonzero polynomial for every
-    support; if all coefficients vanish mod the first prime (which a
-    spurious-zero cascade could in principle cause), the computation is
-    retried under further primes before failing.
+    The determinant with z_j = t^(j²) is evaluated at N(N-1)² + 5 points and
+    interpolated.  The 4 slack coefficients beyond the degree bound N(N-1)²
+    are checked to vanish.  Q is a nonzero polynomial for every support; if
+    all coefficients vanish mod the first prime (which a spurious-zero cascade
+    could in principle cause), the computation is retried under further
+    primes before failing.
     """
     degree_bound = n * (n - 1) ** 2
-    count = degree_bound + 1 + degree_slack
-    contexts = [context] if context is not None else _q_contexts(n, min_bits, escalation_primes)
-    for ctx in contexts:
+    count = degree_bound + 5
+    for ctx in _q_contexts(n, min_bits):
         if ctx.prime <= count:
             raise ValueError("prime too small for the interpolation point count")
         coeffs = _interpolate_mod(_q_eval_points(support, n, ctx, count), ctx.prime)

@@ -12,7 +12,7 @@ Vectors are numpy arrays: int64 residues under the exact backend,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -60,10 +60,6 @@ class Window:
     def n(self) -> int:
         return len(self.entries)
 
-    @property
-    def context(self) -> CyclotomicContext | None:
-        return self.backend.context if self.backend.kind == "exact" else None
-
     def reembed(self, ctx: CyclotomicContext) -> "Window":
         """Realize the same window in another context (for prime escalation).
         Raises ArithmeticError when the window has no nonzero image there."""
@@ -90,15 +86,6 @@ class Window:
             "window carries no re-embedding recipe, so zero verdicts cannot be escalated; "
             "use --primes 1"
         )
-
-
-@dataclass
-class GaborSystem:
-    """The matrix of time-frequency shifts of one window over one support."""
-
-    window: Window
-    support: tuple[TimeFreqIndex, ...]
-    matrix: np.ndarray = field(repr=False)
 
 
 def translate(x: np.ndarray, kappa: int) -> np.ndarray:
@@ -139,17 +126,16 @@ def gabor_indices(support, n: int) -> tuple[tuple[TimeFreqIndex, ...], np.ndarra
     return support, (j - kappa) % n, j * lam % n
 
 
-def gabor_matrix(window: Window, support) -> GaborSystem:
+def gabor_matrix(window: Window, support) -> np.ndarray:
     """System matrix with column i = π(support_i)·window, order preserved."""
-    support, shift, phase = gabor_indices(support, window.n)
+    _, shift, phase = gabor_indices(support, window.n)
     backend = window.backend
-    matrix = backend.mul(window.entries[shift], backend.omega_table(window.n)[phase])
-    return GaborSystem(window, support, matrix)
+    return backend.mul(window.entries[shift], backend.omega_table(window.n)[phase])
 
 
 def system_matrix(window: Window) -> np.ndarray:
     """N × N² matrix of all shifts, columns in lexicographic (κ,λ) order."""
-    return gabor_matrix(window, full_support(window.n)).matrix
+    return gabor_matrix(window, full_support(window.n))
 
 
 def stft(f: np.ndarray, window: Window) -> np.ndarray:

@@ -30,7 +30,7 @@ import itertools
 import math
 import random
 import time
-from contextlib import suppress
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from functools import partial
 from multiprocessing import Pool
@@ -75,14 +75,11 @@ class SupportEnumeration:
                 raise ValueError("sampled mode requires count >= 1")
             if self.seed is None:
                 raise ValueError("sampled mode requires a seed")
-            if self.count > self.total_available():
+            if self.count > math.comb(self.n * self.n, self.n):
                 raise ValueError("cannot sample more supports than exist")
 
-    def total_available(self) -> int:
-        return math.comb(self.n * self.n, self.n)
-
     def total(self) -> int:
-        return self.total_available() if self.mode == "exhaustive" else int(self.count)
+        return math.comb(self.n * self.n, self.n) if self.mode == "exhaustive" else int(self.count)
 
     def _draws(self):
         rng = random.Random(self.seed)
@@ -188,6 +185,8 @@ class SupportVerdict:
 def _exact_windows(window: Window, num_primes: int) -> list[Window]:
     """The window re-embedded under the smallest usable primes, `num_primes`
     in all; a prime under which it has no nonzero image is passed over."""
+    if num_primes < 1:
+        raise ValueError(f"the number of primes must be at least 1, got {num_primes}")
     ctx = window.backend.context
     wins, count = [window], 1
     while len(wins) < num_primes:
@@ -201,9 +200,12 @@ def _exact_windows(window: Window, num_primes: int) -> list[Window]:
 
 
 def _float_witness(mats: np.ndarray) -> np.ndarray:
-    """Numerical null vectors (least singular directions) of a stack of matrices."""
-    _, _, vh = np.linalg.svd(np.asarray(mats, dtype=np.complex128))
-    return np.conj(vh[:, -1])
+    """Numerical null vectors (least singular directions) of a stack of matrices.
+    The SVDs run on slices of 4,096 matrices, which bounds their workspace; an
+    empty stack takes one empty SVD."""
+    mats = np.asarray(mats, dtype=np.complex128)
+    vh = [np.linalg.svd(mats[s : s + 4096])[2][:, -1] for s in range(0, max(len(mats), 1), 4096)]
+    return np.conj(np.concatenate(vh))
 
 
 def check_support(
@@ -217,13 +219,13 @@ def check_support(
     if window.backend.kind == "exact":
         residues: dict[int, int] = {}
         for w in _exact_windows(window, num_primes):
-            mat = gabor_matrix(w, support).matrix
+            mat = gabor_matrix(w, support)
             r = det_mod(mat.tolist(), w.backend.prime)
             residues[w.backend.prime] = r
             if r != 0:
                 return SupportVerdict(support, True, residues=residues)
         return SupportVerdict(support, False, residues=residues)
-    mat = gabor_matrix(window, support).matrix
+    mat = gabor_matrix(window, support)
     det = det_float(mat)
     modulus = float(abs(complex(det)))
     if window.backend.is_zero(det, np.abs(mat).max()):
@@ -233,7 +235,7 @@ def check_support(
 
 
 # ---------------------------------------------------------------------------
-# batch engine (shared by in-process and worker paths)
+# batch engine
 # ---------------------------------------------------------------------------
 
 
@@ -257,8 +259,10 @@ def _escalate(minors, primes: list[int]) -> tuple[np.ndarray, list[int]]:
     return rows, used
 
 
-def _scan_chunk_exact(sel: np.ndarray, weights: np.ndarray, embeddings) -> tuple:
-    """Escalate the chunk's rows; each member of a dependent row fails as (cols, residues)."""
+def _scan_chunk_exact(chunk: tuple, embeddings) -> tuple:
+    """Escalate the rows of a (supports, weights) chunk; each member of a
+    dependent row fails as (cols, residues)."""
+    sel, weights = chunk
     primes = [p for _, p in embeddings]
     dependent, used = _escalate(
         lambda i, rows: embeddings[i][0][:, sel[rows]].transpose(1, 0, 2), primes
@@ -269,9 +273,11 @@ def _scan_chunk_exact(sel: np.ndarray, weights: np.ndarray, embeddings) -> tuple
     return int(weights.sum()), failures, used
 
 
-def _scan_chunk_float(sel: np.ndarray, weights: np.ndarray, cols: np.ndarray, backend) -> tuple:
-    """Scan every member of the chunk (float moduli are not orbit invariant); a
-    failure is (cols, None, |det|, witness), in `DependentSupport` field order."""
+def _scan_chunk_float(chunk: tuple, cols: np.ndarray, backend) -> tuple:
+    """Scan every member of a (supports, weights) chunk (float moduli are not
+    orbit invariant); a failure is (cols, None, |det|, witness), in
+    `DependentSupport` field order."""
+    sel, weights = chunk
     members = _orbit_members(sel, weights)
     failures = []
     for start in range(0, len(members), DEFAULT_CHUNK):
@@ -285,17 +291,6 @@ def _scan_chunk_float(sel: np.ndarray, weights: np.ndarray, cols: np.ndarray, ba
             for r, w in zip(rows, witnesses)
         ]
     return int(weights.sum()), failures, []
-
-
-_WORKER: dict = {}
-
-
-def _worker_init(scan):
-    _WORKER["scan"] = scan
-
-
-def _worker_scan(chunk):
-    return _WORKER["scan"](*chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -385,26 +380,16 @@ def verify_glp(
 
     tested = 0
     raw_failures: list = []
-    primes_used: list[int] = []
-
-    def absorb(result):
-        nonlocal tested
-        count, failures, primes_hit = result
-        tested += count
-        raw_failures.extend(failures)
-        for p in primes_hit:
-            if p not in primes_used:
-                primes_used.append(p)
-        if progress:
-            progress(tested)
-
-    if workers <= 1:
-        for chunk in enumeration.chunks(chunk_size):
-            absorb(scan(*chunk))
-    else:
-        with Pool(workers, initializer=_worker_init, initargs=(scan,)) as pool:
-            for result in pool.imap(_worker_scan, enumeration.chunks(chunk_size)):
-                absorb(result)
+    primes_used: set[int] = set()
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        for count, failures, primes_hit in (pool.imap if pool else map)(
+            scan, enumeration.chunks(chunk_size)
+        ):
+            tested += count
+            raw_failures += failures
+            primes_used.update(primes_hit)
+            if progress:
+                progress(tested)
 
     dependent = [
         DependentSupport(columns_to_support(cols, n), *rest)
@@ -467,25 +452,20 @@ class FourierCheckReport:
         }
 
 
-def fourier_minor_check(
-    p: int,
-    min_bits: int = 20,
-    num_primes: int = DEFAULT_NUM_PRIMES,
-    max_p: int = 7,
-) -> FourierCheckReport:
+def fourier_minor_check(p: int, min_bits: int = 20) -> FourierCheckReport:
     """Exhaustively verify that every square minor of the p×p DFT matrix is
     nonzero, for prime p (an instance check of Chebotarev's theorem).
 
-    The number of minors is C(2p, p) - 1, so p is capped at `max_p`.
+    The number of minors is C(2p, p) - 1, so p is capped at 7.
     """
     from .backends import is_prime
 
     if not is_prime(p):
         raise ValueError("dimension must be prime")
-    if p > max_p:
-        raise ValueError(f"exhaustive minor check capped at p = {max_p}")
+    if p > 7:
+        raise ValueError("exhaustive minor check capped at p = 7")
     start = time.perf_counter()
-    ctxs = embedding_primes(p, num_primes, min_bits)
+    ctxs = embedding_primes(p, DEFAULT_NUM_PRIMES, min_bits)
     # the contexts have order p, so each root is the image of ω
     tables = [
         np.array([[pow(c.root, j * k, c.prime) for k in range(p)] for j in range(p)])

@@ -45,9 +45,7 @@ def zeta_order(n: int) -> int:
     return (n - 1) ** 4
 
 
-def power_window_root_of_unity(
-    n: int, min_bits: int = DEFAULT_MIN_BITS, context: CyclotomicContext | None = None
-) -> Window:
+def power_window_root_of_unity(n: int, min_bits: int = DEFAULT_MIN_BITS) -> Window:
     """Exact window φ_j = ζ^(j²) with ζ of order (N-1)⁴, for N ≥ 4.
 
     For N ≤ 3 there is no such construction (the hypothesis N ≥ 4 fails);
@@ -64,10 +62,7 @@ def power_window_root_of_unity(
     # construction to certify; this holds for all N ≥ 4.
     assert euler_phi(order) > n * (n - 1) ** 2
     L = math.lcm(n, order)
-    if context is None:
-        context = embedding_primes(L, 1, min_bits)[0]
-    elif context.order != L:
-        raise ValueError(f"context order must be lcm(N,(N-1)^4) = {L}")
+    context = embedding_primes(L, 1, min_bits)[0]
     step = L // order  # ζ = u**step
     exps = np.array([step * ((j * j) % order) % L for j in range(n)], dtype=np.int64)
     entries = np.array([pow(context.root, int(e), context.prime) for e in exps], dtype=np.int64)
@@ -162,4 +157,10 @@ def save_window(window: Window, path) -> None:
 
 def load_window(path) -> Window:
     with open(path) as fh:
-        return window_from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return window_from_dict(data)
+    except KeyError as exc:
+        raise ValueError(f"window file {path} lacks the field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"window file {path} has a malformed field: {exc}") from exc

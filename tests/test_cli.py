@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gaborglp import windows
 from gaborglp.cli import main
 from gaborglp.operators import Window
@@ -106,6 +108,27 @@ def test_verify_config_errors(tmp_path):
     # exhaustive over budget
     code = main(["verify", "--n", "8", "--exhaustive-budget", "1000"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--n", "4", "--support", "(0,0);(1,1);(2,2);(3,3)", "--class-budget", "2"],
+        ["verify", "--n", "4", "--window", "ones", "--primes", "0"],
+        ["verify", "--n", "4", "--window", "ones", "--primes", "-2"],
+        ["verify", "--n", "2", "--window", "{malformed}"],
+        ["verify", "--n", "4", "--backend", "float", "--window", "nosuch"],
+        ["verify", "--n", "4", "--mode", "sampled", "--seed", "3"],
+        ["fourier-check", "--p", "11"],
+    ],
+)
+def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, argv):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"n": 2, "kind": "user"}))  # no "backend"
+    code = main([a.format(malformed=malformed) for a in argv])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
 
 
 def test_construct_n4(tmp_path):

@@ -220,7 +220,7 @@ def test_support_bound_extremal_case(float_window_4):
     # f orthogonal to exactly N-1 frame vectors: the bound is attained
     n = 4
     chosen = [(0, 1), (1, 3), (2, 2)]
-    cols = gabor_matrix(float_window_4, chosen).matrix.astype(np.complex128)
+    cols = gabor_matrix(float_window_4, chosen).astype(np.complex128)
     # null space of the conjugated (N-1)×N analysis rows
     _, _, vh = np.linalg.svd(cols.conj().T)
     f = np.conj(vh[-1])

@@ -166,7 +166,7 @@ def test_check_support_complex_dependent_example():
     # w = (1, i): det = 1·(-1) - i·i = 0
     verdict = check_support(cwin(1, 1j), [(0, 0), (1, 1)])
     assert not verdict.independent
-    mat = gabor_matrix(cwin(1, 1j), verdict.support).matrix.astype(np.complex128)
+    mat = gabor_matrix(cwin(1, 1j), verdict.support).astype(np.complex128)
     wit = verdict.witness
     residual = np.abs(mat @ wit).max()
     assert residual <= 1e-8 * np.abs(mat).max() * np.abs(wit).max() * 2
@@ -189,6 +189,8 @@ def test_check_support_exact_escalation():
     assert all(r == 0 for r in verdict.residues.values())
     ind = check_support(w, [(0, 0), (0, 1)])
     assert ind.independent
+    with pytest.raises(ValueError):  # escalation over no prime is refused
+        check_support(w, [(0, 0), (1, 0)], num_primes=0)
 
 
 def test_check_support_validation():
@@ -209,7 +211,7 @@ def test_verify_glp_n2_independent_window():
     dets = []
     for cols in itertools.combinations(range(4), 2):
         support = columns_to_support(cols, 2)
-        mat = gabor_matrix(w, support).matrix.astype(np.complex128)
+        mat = gabor_matrix(w, support).astype(np.complex128)
         dets.append(complex(np.linalg.det(mat)))
     assert np.allclose(dets, [-4, -3, -5, 5, 3, -4])
     report = verify_glp(w, SupportEnumeration(2, "exhaustive"))
@@ -413,14 +415,14 @@ def test_minor_vanishes_alike_on_a_translation_orbit(case, min_bits):
     shifted = [(k + a, l + b) for k, l in support]
     for ctx in embedding_primes(n, 3, min_bits):
         window = Window(np.array(entries), ResidueBackend(ctx))
-        dets = [det_mod(gabor_matrix(window, s).matrix.tolist(), ctx.prime) for s in (support, shifted)]
+        dets = [det_mod(gabor_matrix(window, s).tolist(), ctx.prime) for s in (support, shifted)]
         assert (dets[0] == 0) == (dets[1] == 0)
 
 
 def test_float_zero_rule_is_strict_in_the_batch_scan():
     # the minor diag(1, eps) sits exactly at the threshold and counts as nonzero
     cols = np.array([[1, 0], [0, FB.eps]], dtype=COMPLEX_DTYPE)
-    tested, failures, _ = _scan_chunk_float(np.array([[0, 1]]), np.ones(1, int), cols, FB)
+    tested, failures, _ = _scan_chunk_float((np.array([[0, 1]]), np.ones(1, int)), cols, FB)
     assert tested == 1 and failures == []
 
 
@@ -473,7 +475,7 @@ def test_float_witness_validity():
     report = verify_glp(w, SupportEnumeration(3, "exhaustive"))
     assert report.dependent
     for dep in report.dependent:
-        mat = gabor_matrix(w, dep.support).matrix.astype(np.complex128)
+        mat = gabor_matrix(w, dep.support).astype(np.complex128)
         wit = np.array(dep.witness)
         assert np.linalg.norm(wit) > 0.5  # unit-ish singular vector
         residual = np.linalg.norm(mat @ wit)
@@ -544,7 +546,7 @@ def test_full_verification_against_independent_construction(float_window_4):
         mat = np.array([column(c // n, c % n) for c in cols]).T
         det = np.linalg.det(mat)
         assert abs(det) > 1e-8 * np.abs(mat).max()  # agrees: all independent
-        ours = gabor_matrix(float_window_4, columns_to_support(cols, n)).matrix
+        ours = gabor_matrix(float_window_4, columns_to_support(cols, n))
         assert np.allclose(ours.astype(np.complex128), mat, atol=1e-14)
 
 
