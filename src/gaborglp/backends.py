@@ -222,6 +222,11 @@ def det_mod(rows, p: int) -> int:
     return det % p
 
 
+def _check_int64_prime(p: int) -> None:
+    if p >= 1 << 63:
+        raise ValueError(f"residues are int64, so the prime must be below 2**63, got {p}")
+
+
 def det_batch_mod(mats: np.ndarray, p: int) -> np.ndarray:
     """Exact determinants mod p of a stack of (B, n, n) integer matrices.
 
@@ -233,6 +238,7 @@ def det_batch_mod(mats: np.ndarray, p: int) -> np.ndarray:
     batch; singular rows give 0.  Products of residues fit in int64 for
     p < 2**31; wider primes run the same code on Python ints.
     """
+    _check_int64_prime(p)
     m = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % p)
     if p >= 1 << 31:
         m = m.astype(object)
@@ -311,6 +317,7 @@ class ResidueBackend:
     kind = "exact"
 
     def __init__(self, context: CyclotomicContext):
+        _check_int64_prime(context.prime)
         self.context = context
         self._omega_cache: dict[int, np.ndarray] = {}
 

@@ -21,7 +21,10 @@ import json
 import math
 import sys
 import time
+from contextlib import nullcontext
 from datetime import datetime, timezone
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -46,12 +49,105 @@ def _timing(start: float) -> dict:
     }
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if output:
-        Path(output).write_text(text)
+def _float_texts(values: list) -> list[str] | None:
+    """`float.__repr__` of each float, computed once per distinct bit pattern
+    (bits, not values, since 0.0 == -0.0); None when one is not finite."""
+    bits = np.array(values, dtype=np.float64).view(np.int64)
+    distinct, index = np.unique(bits, return_inverse=True)
+    distinct = distinct.view(np.float64)
+    if not np.isfinite(distinct).all():
+        return None
+    return np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)[index].tolist()
+
+
+def _template(first, items: list, depth: int, columns: list) -> str | None:
+    """`first` written at `depth` with one %-slot per leaf, after appending to
+    `columns` the column of each slot's leaves over `items`.
+
+    None unless every item has the shape of `first`: the same types, sorted
+    keys and lengths at every level, with each leaf an int or a finite float
+    (exact types, so no bool and no numpy scalar).
+    """
+    kind = type(first)
+    if set(map(type, items)) != {kind}:
+        return None
+    if kind is int:
+        columns.append(items)
+        return "%d"
+    if kind is float:
+        texts = _float_texts(items)
+        if texts is None:
+            return None
+        columns.append(texts)
+        return "%s"
+    if kind is dict and all(type(key) is str for key in first):
+        keys = sorted(first)
+    elif kind is list or kind is tuple:
+        keys = range(len(first))
     else:
-        sys.stdout.write(text)
+        return None
+    if set(map(len, items)) != {len(first)}:
+        return None
+    if not first:
+        return "{}" if kind is dict else "[]"
+    flat = None if kind is dict else list(chain.from_iterable(items))
+    parts = []
+    for key in keys:
+        try:
+            column = list(map(itemgetter(key), items)) if flat is None else flat[key :: len(first)]
+        except KeyError:  # a dict with other keys
+            return None
+        part = _template(first[key], column, depth + 1, columns)
+        if part is None:
+            return None
+        parts.append(json.dumps(key).replace("%", "%%") + ": " + part if kind is dict else part)
+    indent = "\n" + "  " * depth
+    body = indent + "  " + ("," + indent + "  ").join(parts) + indent
+    return "{" + body + "}" if kind is dict else "[" + body + "]"
+
+
+def _write(obj, depth: int, out: list[str]) -> None:
+    indent = "\n" + "  " * depth
+    pad = indent + "  "
+    kind = type(obj)
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        sep = "{" + pad
+        for key in sorted(obj):
+            out.append(sep + json.dumps(key) + ": ")
+            _write(obj[key], depth + 1, out)
+            sep = "," + pad
+        out.append(indent + "}")
+        return
+    if (kind is list or kind is tuple) and len(obj) > 1 and type(obj[0]) in (dict, list, tuple):
+        columns: list = []
+        template = _template(obj[0], obj, depth + 1, columns)
+        if template is not None and columns:
+            out.append("[" + pad)
+            out.append(("," + pad).join(map(template.__mod__, zip(*columns))))
+            out.append(indent + "]")
+            return
+    out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", indent))
+
+
+def _dumps(obj) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` for an acyclic `obj`.
+
+    With any indent, `json` runs its pure-Python encoder.  Here dicts are
+    walked as `json` walks them, and a list of two or more dicts or lists of
+    one shape (see `_template`) is written from one %-template built from its
+    first item, filled row by row from columns of leaves gathered over all
+    items.  Everything else goes to `json.dumps`, indented to its depth.
+    """
+    out: list[str] = []
+    _write(obj, 0, out)
+    return "".join(out)
+
+
+def _emit(payload: dict, output: str | None) -> None:
+    text = _dumps(payload)
+    with open(output, "w") if output else nullcontext(sys.stdout) as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def _emit_lines(lines: list[dict], output: str | None) -> None:
@@ -253,6 +349,8 @@ def cmd_analyze(args) -> int:
 
 def cmd_simulate(args) -> int:
     n = args.n
+    if args.trials < 0:
+        raise ValueError(f"the number of trials must be at least 0, got {args.trials}")
     erasures = args.erasures if args.erasures is not None else n * n - n
     window = _build_window(args, n)
     if window.backend.kind != "float":

@@ -68,16 +68,11 @@ class Window:
         if self.exponents is not None:
             if ctx.order != self.backend.context.order:
                 raise ValueError("re-embedding requires a context of the same order")
-            entries = np.array(
-                [pow(ctx.root, int(e), ctx.prime) for e in self.exponents], dtype=np.int64
-            )
+            entries = [pow(ctx.root, int(e), ctx.prime) for e in self.exponents]
             return Window(entries, ResidueBackend(ctx), self.kind, self.seed, self.exponents)
         if self.rational_entries is not None:
-            entries = np.array(
-                [embed_rational_complex(ctx, re, im) for re, im in self.rational_entries],
-                dtype=np.int64,
-            )
-            if not entries.any():
+            entries = [embed_rational_complex(ctx, re, im) for re, im in self.rational_entries]
+            if not any(entries):
                 raise ArithmeticError(f"the window vanishes mod {ctx.prime}")
             return Window(
                 entries, ResidueBackend(ctx), self.kind, self.seed, None, self.rational_entries

@@ -370,6 +370,8 @@ def verify_glp(
     n = window.n
     if enumeration.n != n:
         raise ValueError("enumeration dimension does not match the window")
+    if workers < 1:
+        raise ValueError(f"the number of workers must be at least 1, got {workers}")
     start = time.perf_counter()
     kind = window.backend.kind
     if kind == "exact":

@@ -62,11 +62,11 @@ def power_window_root_of_unity(n: int, min_bits: int = DEFAULT_MIN_BITS) -> Wind
     # construction to certify; this holds for all N ≥ 4.
     assert euler_phi(order) > n * (n - 1) ** 2
     L = math.lcm(n, order)
-    context = embedding_primes(L, 1, min_bits)[0]
+    backend = ResidueBackend(embedding_primes(L, 1, min_bits)[0])
     step = L // order  # ζ = u**step
     exps = np.array([step * ((j * j) % order) % L for j in range(n)], dtype=np.int64)
-    entries = np.array([pow(context.root, int(e), context.prime) for e in exps], dtype=np.int64)
-    return Window(entries, ResidueBackend(context), kind="constructed", exponents=exps)
+    entries = [pow(backend.context.root, int(e), backend.prime) for e in exps]
+    return Window(entries, backend, kind="constructed", exponents=exps)
 
 
 def power_window_root_of_unity_float(n: int, backend: FloatBackend | None = None) -> Window:

@@ -120,6 +120,13 @@ def test_verify_config_errors(tmp_path):
         ["verify", "--n", "4", "--backend", "float", "--window", "nosuch"],
         ["verify", "--n", "4", "--mode", "sampled", "--seed", "3"],
         ["fourier-check", "--p", "11"],
+        ["verify", "--n", "4", "--prime-bits", "63"],
+        ["verify", "--n", "4", "--window", "ones", "--prime-bits", "70"],
+        ["fourier-check", "--p", "3", "--prime-bits", "63"],
+        ["verify", "--n", "3", "--window", "random", "--backend", "float", "--workers", "0"],
+        ["verify", "--n", "4", "--workers", "-3"],
+        ["construct", "--n", "3", "--workers", "0"],
+        ["simulate", "--n", "3", "--window", "random", "--trials", "-1"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, argv):

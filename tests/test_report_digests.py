@@ -4,7 +4,9 @@ Each case runs the CLI in-process and compares the sha256 of its JSON report,
 without the "timing" block, to a digest recorded from an earlier revision.  A
 change that alters any other byte of a report, or an exit code, fails here;
 update a digest only together with a stated reason for the new report.  Float
-reports drop `det_modulus` and `witness`, which are platform round-off.
+reports drop `det_modulus` and `witness`, which are platform round-off.  The
+digest is taken of the re-dumped report, so each case also checks that the
+written bytes are `json.dumps(report, indent=2, sort_keys=True)` and a newline.
 """
 
 import hashlib
@@ -41,7 +43,9 @@ CASES = [
 def test_report_digest(argv, code, digest, tmp_path):
     out = tmp_path / "report.json"
     assert main([*argv.split(), "--output", str(out)]) == code
-    report = json.loads(out.read_text())
+    raw = out.read_text()
+    report = json.loads(raw)
+    assert raw == json.dumps(report, indent=2, sort_keys=True) + "\n"
     del report["timing"]
     if "--backend float" in argv:
         for dep in report["result"]["dependent_supports"]:
