@@ -192,6 +192,8 @@ def _build_window(args, n: int) -> Window:
 def cmd_construct(args) -> int:
     start = time.perf_counter()
     n = args.n
+    if args.workers < 1:
+        raise ValueError(f"the number of workers must be at least 1, got {args.workers}")
     report: dict = {"schema_version": SCHEMA_VERSION, "command": "construct", "n": n}
     code = 0
     if n >= 4:

@@ -56,6 +56,13 @@ class Window:
         if not np.any(self.entries):
             raise ValueError("window must not be the zero vector")
 
+    @classmethod
+    def from_exponents(cls, ctx: CyclotomicContext, exponents, kind: str, seed) -> "Window":
+        """The exact window with entries u**exponents, u the root of `ctx`."""
+        exponents = np.asarray(exponents, dtype=np.int64)
+        entries = [pow(ctx.root, int(e), ctx.prime) for e in exponents]
+        return cls(entries, ResidueBackend(ctx), kind, seed, exponents)
+
     @property
     def n(self) -> int:
         return len(self.entries)
@@ -68,8 +75,7 @@ class Window:
         if self.exponents is not None:
             if ctx.order != self.backend.context.order:
                 raise ValueError("re-embedding requires a context of the same order")
-            entries = [pow(ctx.root, int(e), ctx.prime) for e in self.exponents]
-            return Window(entries, ResidueBackend(ctx), self.kind, self.seed, self.exponents)
+            return Window.from_exponents(ctx, self.exponents, self.kind, self.seed)
         if self.rational_entries is not None:
             entries = [embed_rational_complex(ctx, re, im) for re, im in self.rational_entries]
             if not any(entries):

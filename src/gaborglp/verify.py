@@ -4,7 +4,9 @@ A window is in general linear position (GLP) when every N-element subset of
 its N² time-frequency shifts is linearly independent, i.e. every N×N minor
 of the full system matrix is nonzero.  This module enumerates supports
 (exhaustively or by seeded sampling), evaluates the minors in batches, and
-aggregates a deterministic report.
+lists each dependent support in a deterministic report as a `SupportVerdict`,
+the record `check_support` returns for a single support.  The scans return
+dependent members as arrays, which `verify_glp` sorts and converts once.
 
 Exhaustive mode checks one support per translation orbit.  As π(a,b)·π(κ,λ)
 = ω^c·π(κ+a, λ+b), the matrix of Λ+(a,b) is π(a,b) times the matrix of Λ
@@ -175,11 +177,24 @@ def columns_to_support(cols, n: int) -> tuple[TimeFreqIndex, ...]:
 
 @dataclass
 class SupportVerdict:
+    """The verdict on one support, from `check_support` or, for a dependent
+    support, from `verify_glp`; `to_dict` writes it as a report entry."""
+
     support: tuple[TimeFreqIndex, ...]
     independent: bool
     residues: dict[int, int] | None = None  # exact backend: prime -> det residue
     det_modulus: float | None = None  # float backend
     witness: np.ndarray | None = field(default=None, repr=False)
+
+    def to_dict(self) -> dict:
+        out: dict = {"support": [list(idx) for idx in self.support]}
+        if self.residues is not None:
+            out["residues"] = {str(p): r for p, r in self.residues.items()}
+        if self.det_modulus is not None:
+            out["det_modulus"] = self.det_modulus
+        if self.witness is not None:
+            out["witness"] = [[float(z.real), float(z.imag)] for z in self.witness]
+        return out
 
 
 def _exact_windows(window: Window, num_primes: int) -> list[Window]:
@@ -260,60 +275,34 @@ def _escalate(minors, primes: list[int]) -> tuple[np.ndarray, list[int]]:
 
 
 def _scan_chunk_exact(chunk: tuple, embeddings) -> tuple:
-    """Escalate the rows of a (supports, weights) chunk; each member of a
-    dependent row fails as (cols, residues)."""
+    """Escalate the rows of a (supports, weights) chunk; the dependent
+    members come back as one array of column rows."""
     sel, weights = chunk
-    primes = [p for _, p in embeddings]
     dependent, used = _escalate(
-        lambda i, rows: embeddings[i][0][:, sel[rows]].transpose(1, 0, 2), primes
+        lambda i, rows: embeddings[i][0][:, sel[rows]].transpose(1, 0, 2),
+        [p for _, p in embeddings],
     )
-    zeros = dict.fromkeys(primes, 0)
-    members = _orbit_members(sel[dependent], weights[dependent])
-    failures = [(tuple(int(c) for c in row), dict(zeros)) for row in members]
-    return int(weights.sum()), failures, used
+    return int(weights.sum()), (_orbit_members(sel[dependent], weights[dependent]),), used
 
 
 def _scan_chunk_float(chunk: tuple, cols: np.ndarray, backend) -> tuple:
     """Scan every member of a (supports, weights) chunk (float moduli are not
-    orbit invariant); a failure is (cols, None, |det|, witness), in
-    `DependentSupport` field order."""
+    orbit invariant); the dependent members come back as arrays of their
+    column rows, determinants and witnesses, empty ones for an empty chunk."""
     sel, weights = chunk
     members = _orbit_members(sel, weights)
-    failures = []
-    for start in range(0, len(members), DEFAULT_CHUNK):
+    found = []
+    for start in range(0, max(len(members), 1), DEFAULT_CHUNK):
         mats = cols[:, members[start : start + DEFAULT_CHUNK]].transpose(1, 0, 2)
         dets = det_batch_float(mats)
         rows = np.flatnonzero(backend.is_zero(dets, np.abs(mats).max(axis=(1, 2))))
-        witnesses = _float_witness(mats[rows])
-        # abs(complex(d)), not abs(d): a long-double abs rounds the last bit differently
-        failures += [
-            (tuple(int(c) for c in members[start + r]), None, float(abs(complex(dets[r]))), w)
-            for r, w in zip(rows, witnesses)
-        ]
-    return int(weights.sum()), failures, []
+        found.append((members[start + rows], dets[rows], _float_witness(mats[rows])))
+    return int(weights.sum()), tuple(map(np.concatenate, zip(*found))), []
 
 
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class DependentSupport:
-    support: tuple[TimeFreqIndex, ...]
-    residues: dict[int, int] | None = None
-    det_modulus: float | None = None
-    witness: np.ndarray | None = field(default=None, repr=False)
-
-    def to_dict(self) -> dict:
-        out: dict = {"support": [list(idx) for idx in self.support]}
-        if self.residues is not None:
-            out["residues"] = {str(p): r for p, r in self.residues.items()}
-        if self.det_modulus is not None:
-            out["det_modulus"] = self.det_modulus
-        if self.witness is not None:
-            out["witness"] = [[float(z.real), float(z.imag)] for z in self.witness]
-        return out
 
 
 @dataclass
@@ -323,7 +312,7 @@ class VerificationReport:
     window_kind: str
     mode: str
     supports_tested: int
-    dependent: list[DependentSupport]
+    dependent: list[SupportVerdict]
     primes_used: list[int]
     elapsed_seconds: float
     sample_count: int | None = None
@@ -381,22 +370,34 @@ def verify_glp(
         scan = partial(_scan_chunk_float, cols=system_matrix(window), backend=window.backend)
 
     tested = 0
-    raw_failures: list = []
+    found: list[tuple] = []
     primes_used: set[int] = set()
     with Pool(workers) if workers > 1 else nullcontext() as pool:
-        for count, failures, primes_hit in (pool.imap if pool else map)(
+        for count, arrays, primes_hit in (pool.imap if pool else map)(
             scan, enumeration.chunks(chunk_size)
         ):
             tested += count
-            raw_failures += failures
+            found.append(arrays)
             primes_used.update(primes_hit)
             if progress:
                 progress(tested)
+    if tested != enumeration.total():
+        raise RuntimeError(f"the scan covered {tested} of {enumeration.total()} supports")
 
-    dependent = [
-        DependentSupport(columns_to_support(cols, n), *rest)
-        for cols, *rest in sorted(raw_failures, key=lambda f: f[0])
-    ]
+    cols, *data = map(np.concatenate, zip(*found))
+    order = np.lexsort(cols.T[::-1])
+    supports = [tuple(map(tuple, s)) for s in np.stack(np.divmod(cols[order], n), -1).tolist()]
+    used = sorted(primes_used)
+    if kind == "exact":
+        # a dependent row is zero under every prime
+        dependent = [SupportVerdict(s, False, dict.fromkeys(used, 0)) for s in supports]
+    else:
+        # |d| of the complex128 rounding of d: a long-double abs rounds the last bit differently
+        moduli = np.abs(data[0][order].astype(np.complex128)).tolist()
+        dependent = [
+            SupportVerdict(s, False, det_modulus=m, witness=w)
+            for s, m, w in zip(supports, moduli, data[1][order])
+        ]
 
     elapsed = time.perf_counter() - start
     return VerificationReport(
@@ -406,7 +407,7 @@ def verify_glp(
         mode=enumeration.mode,
         supports_tested=tested,
         dependent=dependent,
-        primes_used=sorted(primes_used),
+        primes_used=used,
         elapsed_seconds=elapsed,
         sample_count=enumeration.count if enumeration.mode == "sampled" else None,
         sample_seed=enumeration.seed if enumeration.mode == "sampled" else None,
@@ -438,7 +439,6 @@ class FourierCheckReport:
     minors_tested: int
     failures: list[tuple]
     primes_used: list[int]
-    elapsed_seconds: float
 
     @property
     def passed(self) -> bool:
@@ -466,7 +466,6 @@ def fourier_minor_check(p: int, min_bits: int = 20) -> FourierCheckReport:
         raise ValueError("dimension must be prime")
     if p > 7:
         raise ValueError("exhaustive minor check capped at p = 7")
-    start = time.perf_counter()
     ctxs = embedding_primes(p, DEFAULT_NUM_PRIMES, min_bits)
     # the contexts have order p, so each root is the image of ω
     tables = [
@@ -487,5 +486,4 @@ def fourier_minor_check(p: int, min_bits: int = 20) -> FourierCheckReport:
         tested += len(rows)
         failures.extend((tuple(map(int, rows[k])), tuple(map(int, cols[k]))) for k in zero)
         primes_used.update(used)
-    elapsed = time.perf_counter() - start
-    return FourierCheckReport(p, tested, failures, sorted(primes_used), elapsed)
+    return FourierCheckReport(p, tested, failures, sorted(primes_used))

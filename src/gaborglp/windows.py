@@ -62,11 +62,9 @@ def power_window_root_of_unity(n: int, min_bits: int = DEFAULT_MIN_BITS) -> Wind
     # construction to certify; this holds for all N ≥ 4.
     assert euler_phi(order) > n * (n - 1) ** 2
     L = math.lcm(n, order)
-    backend = ResidueBackend(embedding_primes(L, 1, min_bits)[0])
     step = L // order  # ζ = u**step
-    exps = np.array([step * ((j * j) % order) % L for j in range(n)], dtype=np.int64)
-    entries = [pow(backend.context.root, int(e), backend.prime) for e in exps]
-    return Window(entries, backend, kind="constructed", exponents=exps)
+    exps = [step * ((j * j) % order) % L for j in range(n)]
+    return Window.from_exponents(embedding_primes(L, 1, min_bits)[0], exps, "constructed", None)
 
 
 def power_window_root_of_unity_float(n: int, backend: FloatBackend | None = None) -> Window:
@@ -107,9 +105,7 @@ def ones_window(n: int, backend: FloatBackend | None = None) -> Window:
 
 def ones_window_exact(n: int, min_bits: int = DEFAULT_MIN_BITS) -> Window:
     """Exact all-ones window (exponents all zero), for exercising escalation."""
-    ctx = embedding_primes(n, 1, min_bits)[0]
-    exps = np.zeros(n, dtype=np.int64)
-    return Window(np.ones(n, dtype=np.int64), ResidueBackend(ctx), kind="user", exponents=exps)
+    return Window.from_exponents(embedding_primes(n, 1, min_bits)[0], [0] * n, "user", None)
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +132,10 @@ def window_to_dict(window: Window) -> dict:
 def window_from_dict(data: dict) -> Window:
     if data["backend"] == "exact":
         ctx = CyclotomicContext(**data["context"])
-        backend = ResidueBackend(ctx)
         if "exponents" in data:
-            exps = np.array(data["exponents"], dtype=np.int64)
-            entries = np.array(
-                [pow(ctx.root, int(e), ctx.prime) for e in exps], dtype=np.int64
-            )
-            return Window(entries, backend, data["kind"], data.get("seed"), exps)
-        return Window(np.array(data["entries"], dtype=np.int64), backend, data["kind"], data.get("seed"))
+            return Window.from_exponents(ctx, data["exponents"], data["kind"], data.get("seed"))
+        entries = np.array(data["entries"], dtype=np.int64)
+        return Window(entries, ResidueBackend(ctx), data["kind"], data.get("seed"))
     backend = FloatBackend()
     entries = np.array([complex(re, im) for re, im in data["entries"]], dtype=COMPLEX_DTYPE)
     return Window(entries, backend, data["kind"], data.get("seed"))

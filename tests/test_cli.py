@@ -126,6 +126,7 @@ def test_verify_config_errors(tmp_path):
         ["verify", "--n", "3", "--window", "random", "--backend", "float", "--workers", "0"],
         ["verify", "--n", "4", "--workers", "-3"],
         ["construct", "--n", "3", "--workers", "0"],
+        ["construct", "--n", "5", "--workers", "0"],
         ["simulate", "--n", "3", "--window", "random", "--trials", "-1"],
     ],
 )

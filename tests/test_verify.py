@@ -16,6 +16,7 @@ from gaborglp.backends import (
     embed_rational_complex,
     embedding_primes,
 )
+from gaborglp import verify as verify_module
 from gaborglp.operators import Window, gabor_matrix, system_matrix
 from gaborglp.verify import (
     DEFAULT_CHUNK,
@@ -290,18 +291,32 @@ def test_verify_glp_deterministic_reports(exact_window_4):
     assert r1.to_dict() == r2.to_dict()
 
 
+def test_verify_glp_refuses_a_scan_that_misses_supports(monkeypatch, exact_window_4):
+    # the weights of a lost representative are missing from the count
+    representatives = verify_module._representatives
+
+    def drop_one(n, size):
+        blocks = representatives(n, size)
+        reps, weights = next(blocks)
+        yield reps[1:], weights[1:]
+        yield from blocks
+
+    monkeypatch.setattr(verify_module, "_representatives", drop_one)
+    with pytest.raises(RuntimeError, match="covered 1816 of 1820 supports"):
+        verify_glp(exact_window_4, SupportEnumeration(4, "exhaustive"))
+
+
 def assert_matches_scalar_reference(window):
-    """verify_glp's batched escalation agrees with check_support, support by support."""
+    """verify_glp's batched escalation agrees with check_support: its dependent
+    records equal the dependent verdicts, record for record and in order."""
     n = window.n
     report = verify_glp(window, SupportEnumeration(n, "exhaustive"))
-    expected, evaluated = {}, set()
-    for cols in itertools.combinations(range(n * n), n):
-        verdict = check_support(window, columns_to_support(cols, n))
-        evaluated.update(verdict.residues)
-        if not verdict.independent:
-            expected[verdict.support] = verdict.residues
-    assert {d.support: d.residues for d in report.dependent} == expected
-    assert report.primes_used == sorted(evaluated)
+    verdicts = [
+        check_support(window, columns_to_support(cols, n))
+        for cols in itertools.combinations(range(n * n), n)
+    ]
+    assert report.dependent == [v for v in verdicts if not v.independent]
+    assert report.primes_used == sorted(set().union(*(v.residues for v in verdicts)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -422,8 +437,10 @@ def test_minor_vanishes_alike_on_a_translation_orbit(case, min_bits):
 def test_float_zero_rule_is_strict_in_the_batch_scan():
     # the minor diag(1, eps) sits exactly at the threshold and counts as nonzero
     cols = np.array([[1, 0], [0, FB.eps]], dtype=COMPLEX_DTYPE)
-    tested, failures, _ = _scan_chunk_float((np.array([[0, 1]]), np.ones(1, int)), cols, FB)
-    assert tested == 1 and failures == []
+    tested, (rows, dets, witnesses), _ = _scan_chunk_float(
+        (np.array([[0, 1]]), np.ones(1, int)), cols, FB
+    )
+    assert tested == 1 and rows.shape == (0, 2) and len(dets) == len(witnesses) == 0
 
 
 # ---------------------------------------------------------------------------
