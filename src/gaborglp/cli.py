@@ -8,10 +8,15 @@ analyze        monomial analysis of specific supports
 simulate       erasure round-trip trials
 fourier-check  exhaustive DFT minor check for a prime dimension
 
+Each `cmd_*` returns (payload, exit code) and writes nothing but its side
+files (--window-out, --witness-csv).  `main` runs it, stamps a dict payload
+with "schema_version", "command" and "timing", writes the report to stdout
+or to --output, and turns a ValueError or OSError into one "error:" line.
+
 Exit codes: 0 = all checks passed, 1 = a dependency/violation was found,
-2 = usage or configuration error.  Progress goes to stderr; data goes to
-stdout or to --output.  Reports are schema-versioned JSON and byte-identical
-for identical configurations apart from the "timing" block.
+2 = usage or configuration error, including an output path that cannot be
+written.  Progress goes to stderr.  Reports are schema-versioned JSON and
+byte-identical for identical configurations apart from the "timing" block.
 """
 
 from __future__ import annotations
@@ -40,13 +45,6 @@ from .backends import (
 from .operators import Window
 
 SCHEMA_VERSION = 1
-
-
-def _timing(start: float) -> dict:
-    return {
-        "generated_at": datetime.now(timezone.utc).isoformat(),
-        "elapsed_seconds": time.perf_counter() - start,
-    }
 
 
 def _float_texts(values: list) -> list[str] | None:
@@ -143,21 +141,6 @@ def _dumps(obj) -> str:
     return "".join(out)
 
 
-def _emit(payload: dict, output: str | None) -> None:
-    text = _dumps(payload)
-    with open(output, "w") if output else nullcontext(sys.stdout) as fh:
-        fh.write(text)
-        fh.write("\n")
-
-
-def _emit_lines(lines: list[dict], output: str | None) -> None:
-    text = "".join(json.dumps(line, sort_keys=True) + "\n" for line in lines)
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _window_report(window: Window) -> dict:
     out = windows.window_to_dict(window)
     if window.kind == "constructed" and window.backend.kind == "exact":
@@ -189,12 +172,11 @@ def _build_window(args, n: int) -> Window:
     raise ValueError(f"unknown window {spec!r}")
 
 
-def cmd_construct(args) -> int:
-    start = time.perf_counter()
+def cmd_construct(args) -> tuple[dict, int]:
     n = args.n
     if args.workers < 1:
         raise ValueError(f"the number of workers must be at least 1, got {args.workers}")
-    report: dict = {"schema_version": SCHEMA_VERSION, "command": "construct", "n": n}
+    report: dict = {"n": n}
     code = 0
     if n >= 4:
         window = windows.power_window_root_of_unity(n, args.prime_bits)
@@ -210,13 +192,10 @@ def cmd_construct(args) -> int:
         code = 0 if not vr.dependent else 1
     if args.window_out:
         windows.save_window(window, args.window_out)
-    report["timing"] = _timing(start)
-    _emit(report, args.output)
-    return code
+    return report, code
 
 
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
+def cmd_verify(args) -> tuple[dict, int]:
     n = args.n
     window = _build_window(args, n)
     if window.backend.kind != args.backend:
@@ -244,9 +223,9 @@ def cmd_verify(args) -> int:
     report_obj = verify.verify_glp(
         window, enum, workers=args.workers, num_primes=args.primes, progress=progress
     )
+    if args.witness_csv:
+        verify.write_witness_csv(report_obj, args.witness_csv)
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "verify",
         "config": {
             "n": n,
             "backend": args.backend,
@@ -261,15 +240,8 @@ def cmd_verify(args) -> int:
         },
         "window": _window_report(window),
         "result": report_obj.to_dict(),
-        "timing": {
-            "generated_at": datetime.now(timezone.utc).isoformat(),
-            "elapsed_seconds": report_obj.elapsed_seconds,
-        },
     }
-    _emit(report, args.output)
-    if args.witness_csv:
-        verify.write_witness_csv(report_obj, args.witness_csv)
-    return 0 if not report_obj.dependent else 1
+    return report, 0 if not report_obj.dependent else 1
 
 
 def _parse_support(text: str, n: int) -> list[tuple[int, int]]:
@@ -287,8 +259,7 @@ def _parse_support(text: str, n: int) -> list[tuple[int, int]]:
     return out
 
 
-def cmd_analyze(args) -> int:
-    start = time.perf_counter()
+def cmd_analyze(args) -> tuple[dict, int]:
     n = args.n
     ctx = embedding_primes(n, 1, args.prime_bits)[0]
     records = []
@@ -338,18 +309,14 @@ def cmd_analyze(args) -> int:
             }
         )
     report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "analyze",
         "n": n,
         "context": {"order": ctx.order, "prime": ctx.prime, "root": ctx.root},
         "supports": records,
-        "timing": _timing(start),
     }
-    _emit(report, args.output)
-    return 0 if all(r["uniqueness"]["passed"] for r in records) else 1
+    return report, 0 if all(r["uniqueness"]["passed"] for r in records) else 1
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> tuple[list[dict], int]:
     n = args.n
     if args.trials < 0:
         raise ValueError(f"the number of trials must be at least 0, got {args.trials}")
@@ -396,21 +363,12 @@ def cmd_simulate(args) -> int:
             "max_relative_error": max_err,
         }
     )
-    _emit_lines(lines, args.output)
-    return 0 if failures == 0 else 1
+    return lines, 0 if failures == 0 else 1
 
 
-def cmd_fourier_check(args) -> int:
-    start = time.perf_counter()
+def cmd_fourier_check(args) -> tuple[dict, int]:
     result = verify.fourier_minor_check(args.p, args.prime_bits)
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "fourier-check",
-        "result": result.to_dict(),
-        "timing": _timing(start),
-    }
-    _emit(report, args.output)
-    return 0 if result.passed else 1
+    return {"result": result.to_dict()}, 0 if result.passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,9 +379,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, prime_bits=True):
         p.add_argument("--output", "-o", help="write the JSON report here (default stdout)")
-        p.add_argument("--prime-bits", type=int, default=DEFAULT_MIN_BITS)
+        if prime_bits:
+            p.add_argument("--prime-bits", type=int, default=DEFAULT_MIN_BITS)
 
     p = sub.add_parser("construct", help="build a window")
     common(p)
@@ -463,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("simulate", help="erasure round-trip trials")
-    common(p)
+    common(p, prime_bits=False)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--erasures", type=int, default=None, help="default N²-N")
@@ -483,13 +442,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    start = time.perf_counter()
     try:
-        return args.func(args)
-    except (ValueError, FileNotFoundError) as exc:
+        payload, code = args.func(args)
+        if isinstance(payload, dict):
+            text = _dumps(
+                {
+                    "schema_version": SCHEMA_VERSION,
+                    "command": args.command,
+                    **payload,
+                    "timing": {
+                        "generated_at": datetime.now(timezone.utc).isoformat(),
+                        "elapsed_seconds": time.perf_counter() - start,
+                    },
+                }
+            )
+        else:  # simulate: one JSON line per record
+            text = "\n".join(json.dumps(line, sort_keys=True) for line in payload)
+        # the text and its newline go separately, so a large report is not copied
+        with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
+            fh.write(text)
+            fh.write("\n")
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -430,42 +430,29 @@ def expand_determinant(support, n: int) -> dict[Monomial, CyclicPoly]:
     return {k: CyclicPoly(n, v) for k, v in acc.items() if any(v)}
 
 
-def lowest_index_monomial(support, n: int, all_tiebreaks: bool = False) -> Monomial:
+def lowest_index_monomial(support, n: int) -> Monomial:
     """Greedy monomial: repeatedly take an entry with minimal variable index,
     then delete its row and column.
 
-    The result does not depend on which minimal-index entry is chosen; with
-    all_tiebreaks=True every choice order is explored and the invariance is
-    asserted (exponential — intended for small N).
+    Entry (r, c) carries z_{(r - κ_c) mod N}, so the entries of index v lie in
+    the rows κ + v, one row per time shift κ, and picks at one index never
+    compete: for v = 0..N-1 the greedy takes one column of each κ that has a
+    column left and whose row κ + v is free.  The result is therefore the same
+    for every choice among minimal entries.
     """
-    support = sorted((k % n, l % n) for k, l in support)
+    support = [(k % n, l % n) for k, l in support]
     if len(support) != n or len(set(support)) != n:
         raise ValueError(f"support must consist of {n} distinct indices")
-    kappas = [k for k, _ in support]
-
-    def var(r: int, c: int) -> int:
-        return (r - kappas[c]) % n
-
-    def greedy(rows: frozenset[int], cols: frozenset[int], pick_all: bool) -> set[Monomial]:
-        if not rows:
-            return {()}
-        best = min(var(r, c) for r in rows for c in cols)
-        choices = [(r, c) for r in rows for c in cols if var(r, c) == best]
-        if not pick_all:
-            choices = choices[:1]
-        results = set()
-        for r, c in choices:
-            for tail in greedy(rows - {r}, cols - {c}, pick_all):
-                results.add(tuple(sorted((best,) + tail)))
-        return results
-
-    universe = frozenset(range(n))
-    outcomes = greedy(universe, universe, all_tiebreaks)
-    assert len(outcomes) == 1, "tie-breaking changed the lowest-index monomial"
-    indices = next(iter(outcomes))
+    left = list(profile_of_support(support, n).counts)
+    free = [True] * n
     alpha = [0] * n
-    for i in indices:
-        alpha[i] += 1
+    for v in range(n):
+        for kappa in range(n):
+            row = (kappa + v) % n
+            if left[kappa] and free[row]:
+                left[kappa] -= 1
+                free[row] = False
+                alpha[v] += 1
     return tuple(alpha)
 
 
@@ -583,7 +570,7 @@ def _q_eval_points(support, n: int, ctx: CyclotomicContext, count: int) -> np.nd
     """The symbolic determinant at windows z_j = t^(j²), t = 0..count-1, by
     one batched determinant of the stacked Gabor matrices."""
     backend = ResidueBackend(ctx)
-    _, shift, phase = gabor_indices(sorted((k % n, l % n) for k, l in support), n)
+    shift, phase = gabor_indices(sorted((k % n, l % n) for k, l in support), n)
     # powers[t, e] = t^e; t = 0 is a valid point: z_0 = 0**0 = 1, the rest vanish
     powers = np.ones((count, (n - 1) ** 2 + 1), dtype=np.int64)
     for e in range(1, powers.shape[1]):

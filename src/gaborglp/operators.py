@@ -113,9 +113,9 @@ def full_support(n: int) -> list[TimeFreqIndex]:
     return [(k, l) for k in range(n) for l in range(n)]
 
 
-def gabor_indices(support, n: int) -> tuple[tuple[TimeFreqIndex, ...], np.ndarray, np.ndarray]:
-    """The support reduced mod n and checked, with the index arrays of its
-    Gabor matrix: G[j, c] = ω^phase[j, c] · window[shift[j, c]], where
+def gabor_indices(support, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index arrays of the Gabor matrix of a support, checked after
+    reduction mod n: G[j, c] = ω^phase[j, c] · window[shift[j, c]], where
     shift = (j - κ_c) mod n and phase = (j·λ_c) mod n."""
     support = tuple((int(k) % n, int(l) % n) for k, l in support)
     if not support:
@@ -124,12 +124,12 @@ def gabor_indices(support, n: int) -> tuple[tuple[TimeFreqIndex, ...], np.ndarra
         raise ValueError("duplicate time-frequency index in support")
     kappa, lam = np.array(support).T
     j = np.arange(n)[:, None]
-    return support, (j - kappa) % n, j * lam % n
+    return (j - kappa) % n, j * lam % n
 
 
 def gabor_matrix(window: Window, support) -> np.ndarray:
     """System matrix with column i = π(support_i)·window, order preserved."""
-    _, shift, phase = gabor_indices(support, window.n)
+    shift, phase = gabor_indices(support, window.n)
     backend = window.backend
     return backend.mul(window.entries[shift], backend.omega_table(window.n)[phase])
 

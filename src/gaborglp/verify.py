@@ -40,12 +40,14 @@ from multiprocessing import Pool
 import numpy as np
 
 from .backends import (
+    DEFAULT_MIN_BITS,
     DEFAULT_NUM_PRIMES,
     det_batch_float,
     det_batch_nonzero_mod,
     det_float,
     det_mod,
     embedding_primes,
+    is_prime,
 )
 from .operators import TimeFreqIndex, Window, gabor_matrix, system_matrix
 
@@ -164,10 +166,6 @@ def _orbit_members(reps: np.ndarray, weights: np.ndarray) -> np.ndarray:
     masks = masks[np.diff(masks, axis=1, prepend=np.uint64(0)) != 0]
     bits = np.unpackbits(masks.astype("<u8").view(np.uint8), bitorder="little")
     return n * n - 1 - np.flatnonzero(bits).reshape(-1, n)[:, ::-1] % 64
-
-
-def columns_to_support(cols, n: int) -> tuple[TimeFreqIndex, ...]:
-    return tuple((int(c) // n, int(c) % n) for c in cols)
 
 
 # ---------------------------------------------------------------------------
@@ -454,14 +452,12 @@ class FourierCheckReport:
         }
 
 
-def fourier_minor_check(p: int, min_bits: int = 20) -> FourierCheckReport:
+def fourier_minor_check(p: int, min_bits: int = DEFAULT_MIN_BITS) -> FourierCheckReport:
     """Exhaustively verify that every square minor of the p×p DFT matrix is
     nonzero, for prime p (an instance check of Chebotarev's theorem).
 
     The number of minors is C(2p, p) - 1, so p is capped at 7.
     """
-    from .backends import is_prime
-
     if not is_prime(p):
         raise ValueError("dimension must be prime")
     if p > 7:

@@ -128,12 +128,17 @@ def test_verify_config_errors(tmp_path):
         ["construct", "--n", "3", "--workers", "0"],
         ["construct", "--n", "5", "--workers", "0"],
         ["simulate", "--n", "3", "--window", "random", "--trials", "-1"],
+        # an output path that cannot be written is a usage error, not a violation
+        ["verify", "--n", "4", "-o", "{dir}"],
+        ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--witness-csv", "{dir}"],
+        ["construct", "--n", "5", "--window-out", "{dir}"],
+        ["simulate", "--n", "4", "--trials", "3", "-o", "{dir}"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, argv):
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"n": 2, "kind": "user"}))  # no "backend"
-    code = main([a.format(malformed=malformed) for a in argv])
+    code = main([a.format(malformed=malformed, dir=tmp_path) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback

@@ -255,14 +255,37 @@ def test_lowest_index_examples():
     assert lowest_index_monomial([(k, 0) for k in range(4)], 4) == (4, 0, 0, 0)
 
 
+def greedy_all_tiebreaks(support, n):
+    """Every outcome of the greedy (take an entry of minimal variable index,
+    delete its row and column) over every choice among minimal entries."""
+    kappas = [k for k, _ in support]
+
+    def var(r, c):
+        return (r - kappas[c]) % n
+
+    def greedy(rows, cols):
+        if not rows:
+            return {()}
+        best = min(var(r, c) for r in rows for c in cols)
+        return {
+            tuple(sorted((best,) + tail))
+            for r in rows
+            for c in cols
+            if var(r, c) == best
+            for tail in greedy(rows - {r}, cols - {c})
+        }
+
+    universe = frozenset(range(n))
+    return {
+        tuple(indices.count(i) for i in range(n)) for indices in greedy(universe, universe)
+    }
+
+
 def test_lowest_index_tiebreak_independence():
-    rng = random.Random(11)
-    for n in (2, 3, 4):
-        for _ in range(25):
-            support = random_support(rng, n)
-            fast = lowest_index_monomial(support, n)
-            exhaustive = lowest_index_monomial(support, n, all_tiebreaks=True)
-            assert fast == exhaustive
+    for n in range(1, 6):
+        for prof in enumerate_profiles(n):
+            support = [(k, l) for k, count in enumerate(prof.counts) for l in range(count)]
+            assert greedy_all_tiebreaks(support, n) == {lowest_index_monomial(support, n)}
 
 
 def test_lowest_index_is_alphabetically_first_in_expansion():

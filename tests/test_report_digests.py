@@ -4,7 +4,8 @@ Each case runs the CLI in-process and compares the sha256 of its JSON report,
 without the "timing" block, to a digest recorded from an earlier revision.  A
 change that alters any other byte of a report, or an exit code, fails here;
 update a digest only together with a stated reason for the new report.  Float
-reports drop `det_modulus` and `witness`, which are platform round-off.  The
+reports drop `det_modulus` and `witness`, and `analyze` drops each
+`float_modulus`, which are platform round-off.  The
 digest is taken of the re-dumped report, so each case also checks that the
 written bytes are `json.dumps(report, indent=2, sort_keys=True)` and a newline.
 """
@@ -36,6 +37,13 @@ CASES = [
     ),
     ("fourier-check --p 5", 0, "1338b3438ffefd4883ca54d5b7d49719ec9d59c5a4d5c46d17f3806c433b4bc3"),
     ("construct --n 5", 0, "d631ceed8146bdfe92abd0a18493329631ab86227e485f76b600f145c063563c"),
+    (
+        # all columns at κ = 0, mixed, one column per κ, and two columns at each of two κ
+        "analyze --n 4 --support (0,0);(0,1);(0,2);(0,3) --support (0,0);(0,1);(1,0);(2,3)"
+        " --support (0,0);(1,1);(2,3);(3,2) --support (1,0);(1,2);(3,1);(3,3)",
+        0,
+        "0ee44cb2041d5258d232f31942cd7846422da2c6fd6668774cb655823a77d5c5",
+    ),
 ]
 
 
@@ -50,5 +58,7 @@ def test_report_digest(argv, code, digest, tmp_path):
     if "--backend float" in argv:
         for dep in report["result"]["dependent_supports"]:
             del dep["det_modulus"], dep["witness"]
+    for record in report.get("supports", []):
+        del record["ci_coefficient"]["float_modulus"]
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest

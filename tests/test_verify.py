@@ -26,7 +26,6 @@ from gaborglp.verify import (
     _orbit_members,
     _scan_chunk_float,
     check_support,
-    columns_to_support,
     fourier_minor_check,
     verify_glp,
     write_witness_csv,
@@ -48,6 +47,10 @@ def cwin(*entries):
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
+
+
+def columns_to_support(cols, n):
+    return tuple((int(c) // n, int(c) % n) for c in cols)
 
 
 def translates(support, n):
@@ -139,10 +142,6 @@ def test_sampled_enumeration_validation():
         SupportEnumeration(2, "sampled", count=7, seed=1)  # only C(4,2)=6 exist
     with pytest.raises(ValueError):
         SupportEnumeration(2, "bogus")
-
-
-def test_columns_to_support():
-    assert columns_to_support((0, 5, 15), 4) == ((0, 0), (1, 1), (3, 3))
 
 
 # ---------------------------------------------------------------------------
