@@ -10,8 +10,11 @@ determinant is zero.  Two interchangeable backends answer that question:
   means "zero mod this prime"; callers escalate zero verdicts across several
   independent primes (see `embedding_primes`) before reporting dependence.
   Exact determinants come from one batched kernel, `det_batch_mod` (values
-  mod any prime); the zero test `det_batch_nonzero_mod` and Q(x) both use it,
-  and scalar `det_mod` is the independent reference.
+  mod any prime).  Given further minors that share all but their last column
+  with one of its matrices, it replays that matrix's elimination on their
+  last columns, so a run of such minors costs one elimination; the verify
+  scan uses this.  The zero test `det_batch_nonzero_mod` and Q(x) call it on
+  full matrices, and scalar `det_mod` is the independent reference.
 
 * float: extended-precision complex arithmetic (80-bit long double where the
   platform provides it, i.e. a 64-bit mantissa) with an explicit relative
@@ -227,8 +230,11 @@ def _check_int64_prime(p: int) -> None:
         raise ValueError(f"residues are int64, so the prime must be below 2**63, got {p}")
 
 
-def det_batch_mod(mats: np.ndarray, p: int) -> np.ndarray:
-    """Exact determinants mod p of a stack of (B, n, n) integer matrices.
+def det_batch_mod(
+    mats: np.ndarray, p: int, tails: np.ndarray | None = None, gid: np.ndarray | None = None
+) -> np.ndarray:
+    """Exact determinants mod p of a stack of (B, n, n) integer matrices, the
+    heads, and of T further minors that share a head's first n-1 columns.
 
     Division-free elimination (row_i <- a_k*row_i - f*row_k) scales the
     determinant by a_k^(n-k-1) at step k, a_k the k-th pivot; the product of
@@ -237,28 +243,48 @@ def det_batch_mod(mats: np.ndarray, p: int) -> np.ndarray:
     divides by the scale once, by a square-and-multiply inverse on the whole
     batch; singular rows give 0.  Products of residues fit in int64 for
     p < 2**31; wider primes run the same code on Python ints.
+
+    `tails` (T, n) holds the last columns of the further minors, and the t-th
+    of them has the first n-1 columns of head `gid[t]`.  Steps 0..n-2 see
+    only those columns, so each tail replays its head's row swaps, pivots and
+    multipliers, and its determinant is the head's sign and pivot product
+    after step n-2 times the tail's reduced last entry, over the head's
+    scale.  The result lists the B heads, then the T tails.
     """
     _check_int64_prime(p)
     m = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % p)
+    # tail vectors as the columns of y, so that each step updates contiguous rows
+    y = None if tails is None else np.ascontiguousarray(np.asarray(tails, dtype=np.int64).T % p)
     if p >= 1 << 31:
         m = m.astype(object)
+        y = None if y is None else y.astype(object)
     B, n, n2 = m.shape
     if n != n2:
         raise ValueError("matrices must be square")
     sign = np.ones(B, dtype=bool)
     pivots = scale = inv = np.ones(B, dtype=m.dtype)
     idx = np.arange(B)
+    if y is not None:
+        gid = np.asarray(gid, dtype=np.intp)
+        tidx = np.arange(y.shape[1])
     for k in range(n):
         piv = (m[:, k:, k] != 0).argmax(axis=1)
         if piv.any():
             sign ^= piv > 0
             m[idx, k + piv, k:], m[:, k, k:] = m[:, k, k:].copy(), m[idx, k + piv, k:]
+            if y is not None:
+                swap = k + piv.take(gid)
+                y[swap, tidx], y[k] = y[k].copy(), y[swap, tidx]
         a = m[:, k, k]
-        pivots = pivots * a % p
         if k + 1 < n:
+            pivots = pivots * a % p
             scale = scale * pivots % p
-            f = m[:, k + 1 :, k][:, :, None]
-            m[:, k + 1 :, k:] = (a[:, None, None] * m[:, k + 1 :, k:] - f * m[:, k : k + 1, k:]) % p
+            f = m[:, k + 1 :, k]
+            if y is not None:
+                y[k + 1 :] = (a.take(gid) * y[k + 1 :] - f.T.take(gid, axis=1) * y[k]) % p
+            m[:, k + 1 :, k:] = (a[:, None, None] * m[:, k + 1 :, k:] - f[:, :, None] * m[:, k : k + 1, k:]) % p
+        else:
+            prefix, pivots = pivots, pivots * a % p
     e = p - 2
     while e:
         if e & 1:
@@ -266,6 +292,9 @@ def det_batch_mod(mats: np.ndarray, p: int) -> np.ndarray:
         scale = scale * scale % p
         e >>= 1
     det = pivots * inv % p
+    if y is not None:
+        sign = np.concatenate([sign, sign[gid]])
+        det = np.concatenate([det, prefix[gid] * y[-1] % p * inv[gid] % p])
     return np.where(sign, det, (p - det) % p)
 
 

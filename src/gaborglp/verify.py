@@ -16,7 +16,9 @@ Representatives grow column by column under a necessary bound, then pass
 an exact test (`_representatives`).  The exact scan runs the kernel on
 representatives and reports every member of a dependent orbit; the float
 scan tests every member, since rounding makes float moduli and witnesses
-differ across an orbit.
+differ across an orbit.  The depth-first walk emits siblings, which share
+their first N-1 columns, as one run of rows; the exact scan eliminates
+each run's shared columns once (`_runs_nonzero`).
 
 Soundness convention for the exact backend: a nonzero residue mod p proves
 the minor nonzero; a zero residue is only "zero mod p" and is escalated
@@ -43,6 +45,7 @@ from .backends import (
     DEFAULT_MIN_BITS,
     DEFAULT_NUM_PRIMES,
     det_batch_float,
+    det_batch_mod,
     det_batch_nonzero_mod,
     det_float,
     det_mod,
@@ -133,7 +136,9 @@ def _representatives(n: int, size: int):
     the e with Λ-e = Λ form its stabilizer.  As Λ-y sorts as (0, min col(x-y),
     …), every difference col(x-y), x ≠ y, is ≥ c₁, so rows grow a column y at
     a time while `low`, y's least difference from the row, is ≥ c₁; depth
-    first in slices of size // N rows, so a block's minors hold ≤ `size`·N entries."""
+    first in slices of size // N rows, so a block's minors hold ≤ `size`·N entries.
+    A full row's Λ-e can equal Λ or sort below it only if its next column is c₁,
+    that is e + c₁ ∈ Λ, so the exact test shifts only by the e in Λ ∩ (Λ-c₁)."""
     nn, step, col = n * n, max(1, size // n), np.arange(n * n)
     diff = (col[:, None] // n - col // n) % n * n + (col[:, None] - col) % n  # col(x-y)
     sep = np.minimum(diff, diff.T).astype(np.uint8)
@@ -141,10 +146,12 @@ def _representatives(n: int, size: int):
     def grow(rows, low):
         d = rows.shape[1]
         if d == n:
-            own = _mask(rows, n)[:, None]
-            masks = _shifted(own, n, rows)
-            least = (masks <= own).all(axis=1)
-            yield rows[least], nn // (masks[least] == own[least]).sum(axis=1)
+            own = _mask(rows, n)
+            near = own & _shifted(own, n, rows[:, min(1, n - 1)])  # Λ ∩ (Λ-c₁); c₁ = 0 at N = 1
+            r, j = np.nonzero((near[:, None] >> (nn - 1 - rows).astype(np.uint64)) & np.uint64(1))
+            masks, own_r = _shifted(own[r], n, rows[r, j]), own[r]
+            least = np.bincount(r[masks > own_r], minlength=len(rows)) == 0
+            yield rows[least], nn // np.bincount(r[masks == own_r], minlength=len(rows))[least]
             return
         c1 = rows[:, 1:2] if d > 1 else col  # a row of one column takes y as c₁
         r, y = np.nonzero((low >= c1) & (col > rows[:, -1:]) & (col <= nn - n + d))
@@ -252,19 +259,19 @@ def check_support(
 # ---------------------------------------------------------------------------
 
 
-def _escalate(minors, primes: list[int]) -> tuple[np.ndarray, list[int]]:
+def _escalate(nonzero, primes: list[int]) -> tuple[np.ndarray, list[int]]:
     """The one escalation rule: positions of the minors zero under every prime.
 
-    `minors(i, rows)` stacks the selected minors (all of them for
-    `rows = slice(None)`) embedded under the i-th prime.  The kernel sees
-    every minor under the first prime and, under each further prime, only the
-    minors still zero.  Also returns the primes under which at least one
-    minor was evaluated.
+    `nonzero(i, rows)` gives the verdicts of the selected minors (all of them
+    for `rows = slice(None)`) under the i-th prime.  Every minor is tested
+    under the first prime and, under each further prime, only the minors
+    still zero.  Also returns the primes under which at least one minor was
+    evaluated.
     """
     rows = slice(None)
     used: list[int] = []
     for i, p in enumerate(primes):
-        zero = np.flatnonzero(~det_batch_nonzero_mod(minors(i, rows), p))
+        zero = np.flatnonzero(~nonzero(i, rows))
         rows = zero if i == 0 else rows[zero]
         used.append(p)
         if not rows.size:
@@ -272,12 +279,31 @@ def _escalate(minors, primes: list[int]) -> tuple[np.ndarray, list[int]]:
     return rows, used
 
 
+def _runs_nonzero(cols: np.ndarray, p: int, sel: np.ndarray) -> np.ndarray:
+    """Nonzero verdicts mod p of the minors of `cols` on the column rows `sel`.
+
+    A row whose first N-1 columns equal those of the row before it extends
+    that row's run: the kernel eliminates the run's head once and replays it
+    on the last column of every other row.  Any order of rows is sound; the
+    depth-first order of `_representatives` makes runs long.
+    """
+    head = np.ones(len(sel), dtype=bool)
+    head[1:] = (sel[1:, :-1] != sel[:-1, :-1]).any(axis=1)
+    gid = np.cumsum(head)[~head] - 1
+    dets = det_batch_mod(
+        cols[:, sel[head]].transpose(1, 0, 2), p, cols[:, sel[~head, -1]].T, gid
+    )
+    out = np.empty(len(sel), dtype=bool)
+    out[np.concatenate([np.flatnonzero(head), np.flatnonzero(~head)])] = dets != 0
+    return out
+
+
 def _scan_chunk_exact(chunk: tuple, embeddings) -> tuple:
     """Escalate the rows of a (supports, weights) chunk; the dependent
     members come back as one array of column rows."""
     sel, weights = chunk
     dependent, used = _escalate(
-        lambda i, rows: embeddings[i][0][:, sel[rows]].transpose(1, 0, 2),
+        lambda i, rows: _runs_nonzero(*embeddings[i], sel[rows]),
         [p for _, p in embeddings],
     )
     return int(weights.sum()), (_orbit_members(sel[dependent], weights[dependent]),), used
@@ -476,7 +502,9 @@ def fourier_minor_check(p: int, min_bits: int = DEFAULT_MIN_BITS) -> FourierChec
         rows = np.repeat(subsets, len(subsets), axis=0)
         cols = np.tile(subsets, (len(subsets), 1))
         zero, used = _escalate(
-            lambda i, sel: tables[i][rows[sel][:, :, None], cols[sel][:, None, :]],
+            lambda i, sel: det_batch_nonzero_mod(
+                tables[i][rows[sel][:, :, None], cols[sel][:, None, :]], ctxs[i].prime
+            ),
             [c.prime for c in ctxs],
         )
         tested += len(rows)

@@ -289,6 +289,59 @@ def test_batch_det_sign_of_row_swaps():
         assert det_batch_mod(flip[None], p)[0] == (-1) ** (n * (n - 1) // 2) % p
 
 
+def with_last_column(head, tail):
+    return np.column_stack([head[:, :-1], tail])
+
+
+@given(
+    st.integers(1, 6),
+    st.sampled_from([2, 3, 5, 13, 1049437, embedding_primes(12, 1, 40)[0].prime]),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_batch_det_of_tails_equals_scalar(n, p, seed):
+    # a tail's determinant is that of its head with the tail as last column;
+    # p >= 2**31 (the last prime) runs the kernel on Python ints
+    rng = np.random.default_rng(seed)
+    heads = rng.integers(0, p, size=(6, n, n))
+    # a zero first column: rank-deficient prefix (for n = 1, a zero head)
+    heads[0, :, 0] = 0
+    # a scaled anti-diagonal permutation: a row swap at every step
+    heads[1] = np.fliplr(np.diag(rng.integers(1, p, size=n)))
+    # a zero leading entry: the first pivot is a later row
+    heads[2, 0, 0] = 0
+    if n > 1:
+        # a singular head: its last column repeats its first
+        heads[3, :, -1] = heads[3, :, 0]
+    if n > 2:
+        # rank-deficient only mod p: the second column is a multiple of the first
+        c = int(rng.integers(1, p))
+        heads[4, :, 1] = [c * int(x) % p for x in heads[4, :, 0]]
+    gid = np.concatenate([np.arange(6), rng.integers(0, 6, size=14)])
+    rng.shuffle(gid)
+    tails = rng.integers(0, p, size=(len(gid), n))
+    tails[:3] = heads[gid[:3], :, -1]  # tails equal to their heads' last columns
+    dets = det_batch_mod(heads, p, tails, gid)
+    expected = [det_mod(h.tolist(), p) for h in heads]
+    expected += [det_mod(with_last_column(heads[g], t).tolist(), p) for g, t in zip(gid, tails)]
+    assert dets.tolist() == expected
+    assert det_batch_mod(heads, p, tails[:0], gid[:0]).tolist() == expected[:6]
+
+
+@pytest.mark.parametrize("p", [1049437, embedding_primes(12, 1, 40)[0].prime])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_batch_det_of_tails_replays_swaps_and_sign(n, p):
+    # the head's prefix is an anti-diagonal permutation, which swaps rows at
+    # every step, and its last column repeats its first: the head is singular,
+    # and the tail that completes the permutation has determinant ±1
+    flip = np.fliplr(np.eye(n, dtype=np.int64))
+    head = with_last_column(flip, flip[:, 0])
+    tails = np.stack([flip[:, -1], 2 * flip[:, -1], flip[:, 0]])
+    sign = (-1) ** (n * (n - 1) // 2)
+    dets = det_batch_mod(head[None], p, tails, np.zeros(3, dtype=int))
+    assert dets.tolist() == [0, sign % p, 2 * sign % p, 0]
+
+
 # ---------------------------------------------------------------------------
 # homomorphism soundness and nonzero certification
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -12,6 +13,7 @@ from gaborglp.backends import (
     COMPLEX_DTYPE,
     FloatBackend,
     ResidueBackend,
+    det_batch_nonzero_mod,
     det_mod,
     embed_rational_complex,
     embedding_primes,
@@ -24,6 +26,8 @@ from gaborglp.verify import (
     _escalate,
     _exact_windows,
     _orbit_members,
+    _runs_nonzero,
+    _scan_chunk_exact,
     _scan_chunk_float,
     check_support,
     fourier_minor_check,
@@ -105,6 +109,29 @@ def test_exhaustive_blocks_are_bounded_and_increasing(n, size):
     assert reps == sorted(set(reps))
     assert len(reps) == {5: 2130, 6: 54192}[n]
     assert sum(int(weights.sum()) for _, weights in blocks) == math.comb(n * n, n)
+
+
+# sha256 over the blocks of `_representatives(n, DEFAULT_CHUNK)`, each block's
+# rows then its weights as int64 bytes
+REPRESENTATIVE_BLOCKS = {
+    2: "843bddb2c20ad2479b9e7f7147891b677b1a1a494d47da47b94cc4e3ddf3c402",
+    3: "a98f7a41f9cbfca969d16f0b0c47b0616599049fc3c5ba475174bffa1287117a",
+    4: "fcade853af67a7caccf9d65f4cd449559da28f9766d1d865a27a67058adb28f7",
+    5: "d3ad1bfd9dacb8ac4695a509bb85d58ed11e6ece1c233ac994801d11f94ec444",
+    6: "c83463b05d48fb4d5b821bc9b1e95d18be360fa95cd6d970e5ada86c3aa664d4",
+    7: "09916acd39d79b0a983a28a0c436295d70b0f951fe935ee2b4b1020c6d173fd0",
+}
+
+
+@pytest.mark.parametrize("n", sorted(REPRESENTATIVE_BLOCKS))
+def test_representative_blocks_are_pinned(n):
+    # the least-translate test looks only at translates Λ-e with e + c₁ ∈ Λ;
+    # the blocks are those of the test over every translate that contains 0
+    digest = hashlib.sha256()
+    for reps, weights in verify_module._representatives(n, DEFAULT_CHUNK):
+        digest.update(reps.astype(np.int64).tobytes())
+        digest.update(weights.astype(np.int64).tobytes())
+    assert digest.hexdigest() == REPRESENTATIVE_BLOCKS[n]
 
 
 def test_least_translates_pass_the_difference_bound():
@@ -372,8 +399,11 @@ def full_enumeration_oracle(window):
     n = window.n
     sel = np.array(list(itertools.combinations(range(n * n), n)))
     embeddings = [(system_matrix(w), w.backend.prime) for w in _exact_windows(window, 3)]
+    # full minors, not the scan's runs of minors that share N-1 columns
     zero, used = _escalate(
-        lambda i, rows: embeddings[i][0][:, sel[rows]].transpose(1, 0, 2),
+        lambda i, rows: det_batch_nonzero_mod(
+            embeddings[i][0][:, sel[rows]].transpose(1, 0, 2), embeddings[i][1]
+        ),
         [p for _, p in embeddings],
     )
     return [columns_to_support(sel[k], n) for k in zero], sorted(used)
@@ -389,6 +419,55 @@ def test_orbit_scan_matches_full_enumeration(n, make):
     assert [d.support for d in report.dependent] == dependent
     assert all(d.residues == dict.fromkeys(primes_used, 0) for d in report.dependent)
     assert report.primes_used == primes_used
+
+
+def prime_embeddings(window):
+    return [(system_matrix(w), w.backend.prime) for w in _exact_windows(window, 3)]
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(power_window_root_of_unity, n) for n in (4, 5, 6)] + [(ones_window_exact, n) for n in range(2, 7)],
+)
+def test_run_verdicts_equal_full_minor_verdicts(make, n):
+    # runs of representatives that share N-1 columns get, under every
+    # escalation prime, the verdicts of the kernel on their full minors
+    embeddings = prime_embeddings(make(n))
+    for sel, _ in SupportEnumeration(n, "exhaustive").chunks():
+        for cols, p in embeddings:
+            full = det_batch_nonzero_mod(cols[:, sel].transpose(1, 0, 2), p)
+            assert (_runs_nonzero(cols, p, sel) == full).all()
+
+
+@pytest.mark.parametrize("make", [power_window_root_of_unity, ones_window_exact])
+def test_run_verdicts_do_not_depend_on_row_order(make):
+    # shuffling a chunk's rows breaks its runs but changes no verdict
+    embeddings = prime_embeddings(make(5))
+    rng = np.random.default_rng(5)
+    for sel, weights in SupportEnumeration(5, "exhaustive").chunks(700):
+        perm = rng.permutation(len(sel))
+        for cols, p in embeddings:
+            assert (_runs_nonzero(cols, p, sel[perm]) == _runs_nonzero(cols, p, sel)[perm]).all()
+        scans = [_scan_chunk_exact((sel[o], weights[o]), embeddings) for o in (slice(None), perm)]
+        (tested, (members,), used), (tested2, (members2,), used2) = scans
+        assert (tested, used) == (tested2, used2)
+        assert sorted(map(tuple, members.tolist())) == sorted(map(tuple, members2.tolist()))
+
+
+def test_scan_eliminates_each_shared_prefix_once(monkeypatch, exact_window_5):
+    # one kernel head per run of representatives that share N-1 columns
+    heads = []
+    kernel = verify_module.det_batch_mod
+
+    def counted(mats, p, *tails):
+        heads.append((p, len(mats)))
+        return kernel(mats, p, *tails)
+
+    monkeypatch.setattr(verify_module, "det_batch_mod", counted)
+    report = verify_glp(exact_window_5, SupportEnumeration(5, "exhaustive"))
+    assert report.primes_used == [heads[0][0]]
+    reps = [tuple(row[:-1]) for sel, _ in SupportEnumeration(5).chunks() for row in sel.tolist()]
+    assert sum(h for _, h in heads) == len(set(reps)) == 322
 
 
 @pytest.mark.parametrize("n", [3, 4])
