@@ -9,12 +9,12 @@ determinant is zero.  Two interchangeable backends answer that question:
   residue certifies that the complex value is nonzero.  A zero residue only
   means "zero mod this prime"; callers escalate zero verdicts across several
   independent primes (see `embedding_primes`) before reporting dependence.
-  Exact determinants come from one batched kernel, `det_batch_mod` (values
-  mod any prime).  Given further minors that share all but their last column
-  with one of its matrices, it replays that matrix's elimination on their
-  last columns, so a run of such minors costs one elimination; the verify
-  scan uses this.  The zero test `det_batch_nonzero_mod` and Q(x) call it on
-  full matrices, and scalar `det_mod` is the independent reference.
+  Exact determinants come from one batched kernel, `det_prefix_mod`, on
+  minors given as prefixes of n-1 columns plus their own last columns, so
+  minors that share a prefix (as in the verify scan) cost one elimination.
+  `det_batch_mod`, which Q(x) and the zero test `det_batch_nonzero_mod`
+  call, is that kernel with each full matrix its own prefix.  Scalar
+  `det_mod` is the independent reference; `residue_dtype` decides the width.
 
 * float: extended-precision complex arithmetic (80-bit long double where the
   platform provides it, i.e. a 64-bit mantissa) with an explicit relative
@@ -225,77 +225,70 @@ def det_mod(rows, p: int) -> int:
     return det % p
 
 
-def _check_int64_prime(p: int) -> None:
+def residue_dtype(p: int) -> np.dtype:
+    """The one array type for arithmetic on residues mod p: int64 where
+    products of two residues fit (p < 2**31), Python ints (dtype object) for
+    wider primes, where int64 products would overflow.  Residues are stored
+    as int64, so p must be below 2**63."""
     if p >= 1 << 63:
         raise ValueError(f"residues are int64, so the prime must be below 2**63, got {p}")
+    return np.dtype(object if p >= 1 << 31 else np.int64)
 
 
-def det_batch_mod(
-    mats: np.ndarray, p: int, tails: np.ndarray | None = None, gid: np.ndarray | None = None
-) -> np.ndarray:
-    """Exact determinants mod p of a stack of (B, n, n) integer matrices, the
-    heads, and of T further minors that share a head's first n-1 columns.
+def det_prefix_mod(prefixes: np.ndarray, p: int, lasts: np.ndarray, gid: np.ndarray) -> np.ndarray:
+    """Exact determinants mod p of T minors, each a shared prefix plus its own
+    last column: the t-th minor is the (n, n-1) prefix `prefixes[gid[t]]`
+    with the column `lasts[:, t]` (`lasts` has shape (n, T)) appended.
 
-    Division-free elimination (row_i <- a_k*row_i - f*row_k) scales the
-    determinant by a_k^(n-k-1) at step k, a_k the k-th pivot; the product of
-    these scales is that of the running pivot products after steps 0..n-2.
-    The kernel tracks the row-swap sign, the pivot product and the scale, and
-    divides by the scale once, by a square-and-multiply inverse on the whole
-    batch; singular rows give 0.  Products of residues fit in int64 for
-    p < 2**31; wider primes run the same code on Python ints.
-
-    `tails` (T, n) holds the last columns of the further minors, and the t-th
-    of them has the first n-1 columns of head `gid[t]`.  Steps 0..n-2 see
-    only those columns, so each tail replays its head's row swaps, pivots and
-    multipliers, and its determinant is the head's sign and pivot product
-    after step n-2 times the tail's reduced last entry, over the head's
-    scale.  The result lists the B heads, then the T tails.
+    Division-free elimination (row_i <- a_k*row_i - f*row_k; Bareiss 1968)
+    runs once per prefix, for k = 0..n-2, and replays each step's row swap,
+    pivot a_k and multipliers f on the last columns of that prefix's minors.
+    Step k scales the determinant by a_k^(n-k-1), so the scale is the product
+    of the running pivot products; it is divided out once, by a
+    square-and-multiply inverse over all prefixes.  A minor's determinant is
+    its prefix's swap sign times its pivot product times its reduced last
+    entry, over the scale; a rank-deficient prefix gives 0.
     """
-    _check_int64_prime(p)
-    m = np.ascontiguousarray(np.asarray(mats, dtype=np.int64) % p)
-    # tail vectors as the columns of y, so that each step updates contiguous rows
-    y = None if tails is None else np.ascontiguousarray(np.asarray(tails, dtype=np.int64).T % p)
-    if p >= 1 << 31:
-        m = m.astype(object)
-        y = None if y is None else y.astype(object)
-    B, n, n2 = m.shape
-    if n != n2:
-        raise ValueError("matrices must be square")
-    sign = np.ones(B, dtype=bool)
-    pivots = scale = inv = np.ones(B, dtype=m.dtype)
-    idx = np.arange(B)
-    if y is not None:
-        gid = np.asarray(gid, dtype=np.intp)
-        tidx = np.arange(y.shape[1])
-    for k in range(n):
+    dtype = residue_dtype(p)
+    # reduced into C order, so that each step updates contiguous rows
+    m = np.remainder(np.asarray(prefixes, dtype=dtype), p, order="C")
+    y = np.remainder(np.asarray(lasts, dtype=dtype), p, order="C")
+    gid = np.asarray(gid, dtype=np.intp)
+    G, n, w = m.shape
+    if w != n - 1 or y.shape[0] != n:
+        raise ValueError("minors must be square: prefixes (G, n, n-1), last columns (n, T)")
+    sign = np.ones(G, dtype=bool)
+    pivots = scale = inv = np.ones(G, dtype=m.dtype)
+    idx, tidx = np.arange(G), np.arange(y.shape[1])
+    for k in range(n - 1):
         piv = (m[:, k:, k] != 0).argmax(axis=1)
         if piv.any():
             sign ^= piv > 0
             m[idx, k + piv, k:], m[:, k, k:] = m[:, k, k:].copy(), m[idx, k + piv, k:]
-            if y is not None:
-                swap = k + piv.take(gid)
-                y[swap, tidx], y[k] = y[k].copy(), y[swap, tidx]
-        a = m[:, k, k]
-        if k + 1 < n:
-            pivots = pivots * a % p
-            scale = scale * pivots % p
-            f = m[:, k + 1 :, k]
-            if y is not None:
-                y[k + 1 :] = (a.take(gid) * y[k + 1 :] - f.T.take(gid, axis=1) * y[k]) % p
-            m[:, k + 1 :, k:] = (a[:, None, None] * m[:, k + 1 :, k:] - f[:, :, None] * m[:, k : k + 1, k:]) % p
-        else:
-            prefix, pivots = pivots, pivots * a % p
+            swap = k + piv.take(gid)
+            y[swap, tidx], y[k] = y[k].copy(), y[swap, tidx]
+        col = m[:, k:, k]
+        a, f = col[:, 0], col[:, 1:]
+        pivots = pivots * a % p
+        scale = scale * pivots % p
+        c = col.T.take(gid, axis=1)  # each last column's pivot and multipliers
+        y[k + 1 :] = (c[0] * y[k + 1 :] - c[1:] * y[k]) % p
+        m[:, k + 1 :, k:] = (a[:, None, None] * m[:, k + 1 :, k:] - f[:, :, None] * m[:, k : k + 1, k:]) % p
     e = p - 2
     while e:
         if e & 1:
             inv = inv * scale % p
         scale = scale * scale % p
         e >>= 1
-    det = pivots * inv % p
-    if y is not None:
-        sign = np.concatenate([sign, sign[gid]])
-        det = np.concatenate([det, prefix[gid] * y[-1] % p * inv[gid] % p])
-    return np.where(sign, det, (p - det) % p)
+    factor = pivots * inv % p
+    return np.where(sign, factor, (p - factor) % p).take(gid) * y[-1] % p
+
+
+def det_batch_mod(mats: np.ndarray, p: int) -> np.ndarray:
+    """Exact determinants mod p of a stack of (B, n, n) integer matrices:
+    `det_prefix_mod` with each matrix its own prefix and its last column."""
+    mats = np.asarray(mats)
+    return det_prefix_mod(mats[..., :-1], p, mats[..., -1].T, np.arange(len(mats)))
 
 
 def det_batch_nonzero_mod(mats: np.ndarray, p: int) -> np.ndarray:
@@ -346,7 +339,7 @@ class ResidueBackend:
     kind = "exact"
 
     def __init__(self, context: CyclotomicContext):
-        _check_int64_prime(context.prime)
+        self._product_dtype = residue_dtype(context.prime)
         self.context = context
         self._omega_cache: dict[int, np.ndarray] = {}
 
@@ -362,12 +355,8 @@ class ResidueBackend:
         return self._omega_cache[n]
 
     def mul(self, a, b):
-        a = np.asarray(a, dtype=np.int64)
-        b = np.asarray(b, dtype=np.int64)
-        if self.prime < 1 << 31:
-            return a * b % self.prime
-        # int64 products would overflow for larger primes; go through Python ints
-        return (a.astype(object) * b % self.prime).astype(np.int64)
+        a, b = np.asarray(a, dtype=self._product_dtype), np.asarray(b, dtype=self._product_dtype)
+        return (a * b % self.prime).astype(np.int64, copy=False)
 
 
 class FloatBackend:
@@ -377,8 +366,8 @@ class FloatBackend:
     dtype = np.dtype(COMPLEX_DTYPE)
 
     def __init__(self, eps: float = DEFAULT_EPS):
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < eps < float("inf"):
+            raise ValueError(f"eps must be positive and finite, got {eps}")
         self.eps = float(eps)
         self._omega_cache: dict[int, np.ndarray] = {}
 

@@ -27,6 +27,7 @@ import math
 import sys
 import time
 from contextlib import nullcontext
+from dataclasses import replace
 from datetime import datetime, timezone
 from itertools import chain
 from operator import itemgetter
@@ -151,16 +152,17 @@ def _window_report(window: Window) -> dict:
 def _build_window(args, n: int) -> Window:
     spec = args.window
     backend = getattr(args, "backend", "float")
-    eps = getattr(args, "eps", DEFAULT_EPS)
+    fb = FloatBackend(eps=getattr(args, "eps", DEFAULT_EPS))
     if spec.endswith(".json") or Path(spec).exists():
-        return windows.load_window(spec)
+        window = windows.load_window(spec)
+        # a float window takes its zero tolerance from --eps, not from the file
+        return replace(window, backend=fb) if window.backend.kind == "float" else window
     if backend == "exact":
         if spec == "constructed":
             return windows.power_window_root_of_unity(n, args.prime_bits)
         if spec == "ones":
             return windows.ones_window_exact(n, args.prime_bits)
         raise ValueError(f"window {spec!r} is not available under the exact backend")
-    fb = FloatBackend(eps=eps)
     if spec == "constructed":
         return windows.power_window_root_of_unity_float(n, fb)
     if spec == "random":

@@ -28,6 +28,7 @@ cyclotomic context or evaluated as complex numbers.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -43,6 +44,7 @@ from .backends import (
     ResidueBackend,
     det_batch_mod,
     embedding_primes,
+    residue_dtype,
 )
 from .operators import gabor_indices
 
@@ -550,14 +552,21 @@ class QPolynomial:
         return any(self.coeffs)
 
 
+@functools.lru_cache
+def _inverses(k: int, p: int) -> tuple[int, ...]:
+    """1/j mod p for j = 1..k-1, after a 0 for j = 0; Q interpolates through
+    the same points under the same primes again and again."""
+    return (0, *(pow(j, p - 2, p) for j in range(1, k)))
+
+
 def _interpolate_mod(ys, p: int) -> list[int]:
     """Newton interpolation mod p through the points (t, ys[t]), t = 0..k-1;
     returns the k ascending coefficients."""
-    k = len(ys)
-    dd = np.array(ys, dtype=object if p >= 1 << 31 else np.int64) % p
+    k, inv = len(ys), _inverses(len(ys), p)
+    dd = np.array(ys, dtype=residue_dtype(p)) % p
     # at level j every divided-difference denominator x_i - x_(i-j) equals j
     for j in range(1, k):
-        dd[j:] = (dd[j:] - dd[j - 1 : -1]) * pow(j, p - 2, p) % p
+        dd[j:] = (dd[j:] - dd[j - 1 : -1]) * inv[j] % p
     # Horner in Newton form: poly <- poly·(x - i) + dd[i]
     poly = np.zeros_like(dd)
     for i in range(k - 1, -1, -1):

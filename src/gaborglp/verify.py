@@ -17,8 +17,9 @@ an exact test (`_representatives`).  The exact scan runs the kernel on
 representatives and reports every member of a dependent orbit; the float
 scan tests every member, since rounding makes float moduli and witnesses
 differ across an orbit.  The depth-first walk emits siblings, which share
-their first N-1 columns, as one run of rows; the exact scan eliminates
-each run's shared columns once (`_runs_nonzero`).
+their first N-1 columns, as one run of rows; the exact scan hands the
+kernel each run's shared prefix once and every row's last column, and
+gets the verdicts back in row order (`_runs_nonzero`).
 
 Soundness convention for the exact backend: a nonzero residue mod p proves
 the minor nonzero; a zero residue is only "zero mod p" and is escalated
@@ -45,10 +46,10 @@ from .backends import (
     DEFAULT_MIN_BITS,
     DEFAULT_NUM_PRIMES,
     det_batch_float,
-    det_batch_mod,
     det_batch_nonzero_mod,
     det_float,
     det_mod,
+    det_prefix_mod,
     embedding_primes,
     is_prime,
 )
@@ -283,19 +284,15 @@ def _runs_nonzero(cols: np.ndarray, p: int, sel: np.ndarray) -> np.ndarray:
     """Nonzero verdicts mod p of the minors of `cols` on the column rows `sel`.
 
     A row whose first N-1 columns equal those of the row before it extends
-    that row's run: the kernel eliminates the run's head once and replays it
-    on the last column of every other row.  Any order of rows is sound; the
-    depth-first order of `_representatives` makes runs long.
+    that row's run, and a run's rows share the prefix of its head: the kernel
+    eliminates each run's prefix once and replays it on every row's last
+    column.  Any order of rows is sound; the depth-first order of
+    `_representatives` makes runs long.
     """
     head = np.ones(len(sel), dtype=bool)
     head[1:] = (sel[1:, :-1] != sel[:-1, :-1]).any(axis=1)
-    gid = np.cumsum(head)[~head] - 1
-    dets = det_batch_mod(
-        cols[:, sel[head]].transpose(1, 0, 2), p, cols[:, sel[~head, -1]].T, gid
-    )
-    out = np.empty(len(sel), dtype=bool)
-    out[np.concatenate([np.flatnonzero(head), np.flatnonzero(~head)])] = dets != 0
-    return out
+    prefixes = cols[:, sel[head, :-1]].transpose(1, 0, 2)
+    return det_prefix_mod(prefixes, p, cols[:, sel[:, -1]], np.cumsum(head) - 1) != 0
 
 
 def _scan_chunk_exact(chunk: tuple, embeddings) -> tuple:

@@ -13,6 +13,7 @@ from gaborglp.backends import (
     det_batch_nonzero_mod,
     det_float,
     det_mod,
+    det_prefix_mod,
     embed_rational_complex,
     embedding_primes,
     is_prime,
@@ -289,8 +290,8 @@ def test_batch_det_sign_of_row_swaps():
         assert det_batch_mod(flip[None], p)[0] == (-1) ** (n * (n - 1) // 2) % p
 
 
-def with_last_column(head, tail):
-    return np.column_stack([head[:, :-1], tail])
+def with_last_column(head, last):
+    return np.column_stack([head[:, :-1], last])
 
 
 @given(
@@ -300,7 +301,7 @@ def with_last_column(head, tail):
 )
 @settings(max_examples=80, deadline=None)
 def test_batch_det_of_tails_equals_scalar(n, p, seed):
-    # a tail's determinant is that of its head with the tail as last column;
+    # each minor's determinant is that of its prefix with its last column;
     # p >= 2**31 (the last prime) runs the kernel on Python ints
     rng = np.random.default_rng(seed)
     heads = rng.integers(0, p, size=(6, n, n))
@@ -319,26 +320,26 @@ def test_batch_det_of_tails_equals_scalar(n, p, seed):
         heads[4, :, 1] = [c * int(x) % p for x in heads[4, :, 0]]
     gid = np.concatenate([np.arange(6), rng.integers(0, 6, size=14)])
     rng.shuffle(gid)
-    tails = rng.integers(0, p, size=(len(gid), n))
-    tails[:3] = heads[gid[:3], :, -1]  # tails equal to their heads' last columns
-    dets = det_batch_mod(heads, p, tails, gid)
-    expected = [det_mod(h.tolist(), p) for h in heads]
-    expected += [det_mod(with_last_column(heads[g], t).tolist(), p) for g, t in zip(gid, tails)]
-    assert dets.tolist() == expected
-    assert det_batch_mod(heads, p, tails[:0], gid[:0]).tolist() == expected[:6]
+    lasts = rng.integers(0, p, size=(len(gid), n))
+    lasts[:3] = heads[gid[:3], :, -1]  # last columns equal to their heads'
+    # every head itself, then the further minors
+    gid = np.concatenate([np.arange(6), gid])
+    lasts = np.concatenate([heads[:, :, -1], lasts])
+    dets = det_prefix_mod(heads[..., :-1], p, lasts.T, gid)
+    assert dets.tolist() == [det_mod(with_last_column(heads[g], t).tolist(), p) for g, t in zip(gid, lasts)]
+    assert det_prefix_mod(heads[..., :-1], p, lasts[:0].T, gid[:0]).tolist() == []
 
 
 @pytest.mark.parametrize("p", [1049437, embedding_primes(12, 1, 40)[0].prime])
 @pytest.mark.parametrize("n", range(2, 7))
 def test_batch_det_of_tails_replays_swaps_and_sign(n, p):
-    # the head's prefix is an anti-diagonal permutation, which swaps rows at
-    # every step, and its last column repeats its first: the head is singular,
-    # and the tail that completes the permutation has determinant ±1
+    # the prefix is an anti-diagonal permutation, which swaps rows at every
+    # step; the last column that repeats its first column gives a singular
+    # minor, and the one that completes the permutation gives ±1
     flip = np.fliplr(np.eye(n, dtype=np.int64))
-    head = with_last_column(flip, flip[:, 0])
-    tails = np.stack([flip[:, -1], 2 * flip[:, -1], flip[:, 0]])
+    lasts = np.stack([flip[:, 0], flip[:, -1], 2 * flip[:, -1], flip[:, 0]])
     sign = (-1) ** (n * (n - 1) // 2)
-    dets = det_batch_mod(head[None], p, tails, np.zeros(3, dtype=int))
+    dets = det_prefix_mod(flip[None, :, :-1], p, lasts.T, np.zeros(4, dtype=int))
     assert dets.tolist() == [0, sign % p, 2 * sign % p, 0]
 
 

@@ -128,6 +128,12 @@ def test_verify_config_errors(tmp_path):
         ["construct", "--n", "3", "--workers", "0"],
         ["construct", "--n", "5", "--workers", "0"],
         ["simulate", "--n", "3", "--window", "random", "--trials", "-1"],
+        # a zero tolerance must be positive and finite: NaN would make every minor nonzero
+        ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--eps", "nan"],
+        ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--eps", "inf"],
+        ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--eps", "0"],
+        ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--eps", "-1"],
+        ["simulate", "--n", "3", "--window", "random", "--eps", "nan"],
         # an output path that cannot be written is a usage error, not a violation
         ["verify", "--n", "4", "-o", "{dir}"],
         ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--witness-csv", "{dir}"],
@@ -142,6 +148,20 @@ def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+
+def test_loaded_float_window_honours_eps(tmp_path):
+    # a saved window and the window it was saved from get the same result
+    # under a non-default eps, which the loaded window takes from --eps
+    path = tmp_path / "rand3.json"
+    windows.save_window(windows.random_window(3, 0), path)
+    results = []
+    for spec in ["random", str(path)]:
+        argv = ["verify", "--n", "3", "--backend", "float", "--window", spec, "--eps", "0.3"]
+        code, text = run(tmp_path, *argv)
+        assert code == 1
+        results.append(json.loads(text)["result"])
+    assert results[0] == results[1] and results[0]["dependent"] == 33
 
 
 def test_construct_n4(tmp_path):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,9 @@ from gaborglp.backends import (
     embed_rational_complex,
     embedding_primes,
 )
+from gaborglp import backends
 from gaborglp import verify as verify_module
+from gaborglp.monomials import q_polynomial
 from gaborglp.operators import Window, gabor_matrix, system_matrix
 from gaborglp.verify import (
     DEFAULT_CHUNK,
@@ -457,17 +460,40 @@ def test_run_verdicts_do_not_depend_on_row_order(make):
 def test_scan_eliminates_each_shared_prefix_once(monkeypatch, exact_window_5):
     # one kernel head per run of representatives that share N-1 columns
     heads = []
-    kernel = verify_module.det_batch_mod
+    kernel = verify_module.det_prefix_mod
 
-    def counted(mats, p, *tails):
-        heads.append((p, len(mats)))
-        return kernel(mats, p, *tails)
+    def counted(prefixes, p, lasts, gid):
+        heads.append((p, len(prefixes)))
+        return kernel(prefixes, p, lasts, gid)
 
-    monkeypatch.setattr(verify_module, "det_batch_mod", counted)
+    monkeypatch.setattr(verify_module, "det_prefix_mod", counted)
     report = verify_glp(exact_window_5, SupportEnumeration(5, "exhaustive"))
     assert report.primes_used == [heads[0][0]]
     reps = [tuple(row[:-1]) for sel, _ in SupportEnumeration(5).chunks() for row in sel.tolist()]
     assert sum(h for _, h in heads) == len(set(reps)) == 322
+
+
+def test_every_exact_batch_runs_on_the_prefix_kernel(monkeypatch):
+    # one batched exact elimination loop: Q(x), the Fourier check and the
+    # exact scan each reach det_prefix_mod, wherever a module holds it
+    calls = []
+    kernel = backends.det_prefix_mod
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return kernel(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("gaborglp") and hasattr(module, "det_prefix_mod"):
+            monkeypatch.setattr(module, "det_prefix_mod", counted)
+    for run in (
+        lambda: q_polynomial([(0, 0), (0, 1), (1, 0)], 3),
+        lambda: fourier_minor_check(3),
+        lambda: verify_glp(power_window_root_of_unity(4), SupportEnumeration(4, "exhaustive")),
+    ):
+        calls.clear()
+        run()
+        assert calls
 
 
 @pytest.mark.parametrize("n", [3, 4])
