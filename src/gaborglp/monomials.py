@@ -19,7 +19,8 @@ columns with time shift κ (the column profile).  This module implements:
   makes it appear uniquely in the expansion;
 * the full N!-diagonal symbolic expansion (the independent oracle for all of
   the above), and the univariate polynomial obtained by substituting
-  z_n -> x^(n²), whose nonvanishing drives the power-window construction.
+  z_n -> x^(n²), whose nonvanishing drives the power-window construction,
+  by one batched determinant per prime and one cached interpolation product.
 
 Exact coefficients are elements of Z[ω] represented canonically in the group
 ring Z[x]/(x^N - 1) (`CyclicPoly`); they can be reduced to residues in a
@@ -553,38 +554,47 @@ class QPolynomial:
 
 
 @functools.lru_cache
-def _inverses(k: int, p: int) -> tuple[int, ...]:
-    """1/j mod p for j = 1..k-1, after a 0 for j = 0; Q interpolates through
-    the same points under the same primes again and again."""
-    return (0, *(pow(j, p - 2, p) for j in range(1, k)))
+def _interpolation_matrix(k: int, p: int) -> np.ndarray:
+    """The inverse Vandermonde matrix at t = 0..k-1 mod p (k < p), read-only: entry (m, i) is the
+    coefficient of x^m in the Lagrange basis polynomial L_i, the master polynomial ∏(x - j)
+    divided synthetically by (x - i), for all i at once, over i!·(k-1-i)!·(-1)^(k-1-i)."""
+    dtype = residue_dtype(p)
+    master = np.array([1] + [0] * k, dtype=dtype)  # ascending coefficients
+    for j in range(k):
+        master[1:], master[0] = (master[:-1] - j * master[1:]) % p, -j * master[0] % p
+    # row m of quot holds the x^m coefficients of every quotient; row k stays 0
+    quot, roots = np.zeros((k + 1, k), dtype=dtype), np.arange(k).astype(dtype)
+    for m in range(k, 0, -1):
+        quot[m - 1] = (master[m] + roots * quot[m]) % p
+    fact = list(itertools.accumulate(range(1, k), lambda f, j: f * j % p, initial=1))
+    scale = [pow(fact[i] * fact[k - 1 - i] * (-1) ** (k - 1 - i), p - 2, p) for i in range(k)]
+    out = quot[:-1] * np.array(scale, dtype=dtype) % p
+    out.setflags(write=False)
+    return out
 
 
 def _interpolate_mod(ys, p: int) -> list[int]:
-    """Newton interpolation mod p through the points (t, ys[t]), t = 0..k-1;
-    returns the k ascending coefficients."""
-    k, inv = len(ys), _inverses(len(ys), p)
-    dd = np.array(ys, dtype=residue_dtype(p)) % p
-    # at level j every divided-difference denominator x_i - x_(i-j) equals j
-    for j in range(1, k):
-        dd[j:] = (dd[j:] - dd[j - 1 : -1]) * inv[j] % p
-    # Horner in Newton form: poly <- poly·(x - i) + dd[i]
-    poly = np.zeros_like(dd)
-    for i in range(k - 1, -1, -1):
-        poly[1:] = (poly[:-1] - i * poly[1:]) % p
-        poly[0] = (dd[i] - i * poly[0]) % p
-    return poly.tolist()
+    """Ascending coefficients mod p of the polynomial through (t, ys[t]), t = 0..k-1: one product
+    with the cached `_interpolation_matrix`, each term reduced so that sums fit int64 for p < 2**31."""
+    m = _interpolation_matrix(len(ys), p)
+    return ((m * np.asarray(ys, dtype=m.dtype) % p).sum(axis=1) % p).tolist()
+
+
+@functools.lru_cache
+def _point_powers(n: int, p: int, count: int) -> np.ndarray:
+    """t^(j²) mod p at row t, column j, read-only (at t = 0, z_0 = 0**0 = 1)."""
+    out = np.array([[pow(t, j * j, p) for j in range(n)] for t in range(count)], dtype=np.int64)
+    out.setflags(write=False)
+    return out
 
 
 def _q_eval_points(support, n: int, ctx: CyclotomicContext, count: int) -> np.ndarray:
     """The symbolic determinant at windows z_j = t^(j²), t = 0..count-1, by
-    one batched determinant of the stacked Gabor matrices."""
+    one batched determinant of the stacked Gabor matrices, whose entries
+    index the cached table `_point_powers` with each column's time shift."""
     backend = ResidueBackend(ctx)
     shift, phase = gabor_indices(sorted((k % n, l % n) for k, l in support), n)
-    # powers[t, e] = t^e; t = 0 is a valid point: z_0 = 0**0 = 1, the rest vanish
-    powers = np.ones((count, (n - 1) ** 2 + 1), dtype=np.int64)
-    for e in range(1, powers.shape[1]):
-        powers[:, e] = backend.mul(powers[:, e - 1], np.arange(count))
-    mats = backend.mul(powers[:, shift**2], backend.omega_table(n)[phase])
+    mats = backend.mul(_point_powers(n, ctx.prime, count)[:, shift], backend.omega_table(n)[phase])
     return det_batch_mod(mats, ctx.prime)
 
 
@@ -597,13 +607,18 @@ def _q_contexts(n: int, min_bits: int):
 def q_polynomial(support, n: int, min_bits: int = DEFAULT_MIN_BITS) -> QPolynomial:
     """Coefficients of Q(x), by exact evaluation/interpolation mod p.
 
-    The determinant with z_j = t^(j²) is evaluated at N(N-1)² + 5 points and
-    interpolated.  The 4 slack coefficients beyond the degree bound N(N-1)²
-    are checked to vanish.  Q is a nonzero polynomial for every support; if
-    all coefficients vanish mod the first prime (which a spurious-zero cascade
-    could in principle cause), the computation is retried under further
-    primes before failing.
+    The determinant with z_j = t^(j²) is evaluated at the k = N(N-1)² + 5
+    points t = 0..k-1 by one `det_batch_mod` call per prime, and interpolated
+    by one product with the inverse Vandermonde matrix, which (like the table
+    of the t^(j²)) the first call per (k, p) builds and caches.  The 4 slack
+    coefficients beyond the degree bound N(N-1)² are checked to vanish.  Q is
+    a nonzero polynomial for every support; if all coefficients vanish mod the
+    first prime (which a spurious-zero cascade could in principle cause), the
+    computation is retried under further primes before failing.  A support
+    that is not N distinct cells mod N is refused with ValueError.
     """
+    if len(support) != n or len({(k % n, l % n) for k, l in support}) != n:
+        raise ValueError(f"support must consist of {n} distinct indices")
     degree_bound = n * (n - 1) ** 2
     count = degree_bound + 5
     for ctx in _q_contexts(n, min_bits):

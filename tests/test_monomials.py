@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaborglp import backends, monomials, operators
 from gaborglp.backends import COMPLEX_DTYPE, FloatBackend, ResidueBackend, det_mod, embedding_primes
@@ -479,6 +481,69 @@ def test_q_polynomial_interpolates_scalar_determinants_wide_prime(n):
     count = n * (n - 1) ** 2 + 5
     for t in range(count):
         assert q_value(q, t) == scalar_q_value(support, n, ctx, t)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_q_polynomial_int64_row_sums_near_2_31(n):
+    # under a 30-bit prime a product of two residues is near 2**60, so a row
+    # sum over k = N(N-1)² + 5 unreduced products would overflow int64
+    ctx = embedding_primes(n, 1, 30)[0]
+    assert 1 << 30 < ctx.prime < 1 << 31
+    rng = random.Random(250 + n)
+    support = random_support(rng, n)
+    q = q_polynomial(support, n, min_bits=30)
+    assert q.context == ctx
+    count = n * (n - 1) ** 2 + 5
+    for t in list(range(count)) + [count, 2 * count + 1] + [rng.randrange(count, ctx.prime) for _ in range(3)]:
+        assert q_value(q, t) == scalar_q_value(support, n, ctx, t)
+
+
+@pytest.mark.parametrize(
+    "support",
+    [[(0, 0), (0, 1)], [(0, 0), (0, 1), (1, 0), (2, 2)], [(0, 0), (0, 1), (0, 1)], [(0, 0), (0, 1), (3, 1)]],
+    ids=["short", "long", "duplicate", "duplicate-mod-n"],
+)
+def test_q_polynomial_refuses_support_not_n_distinct_cells(support):
+    with pytest.raises(ValueError, match="support must consist of 3 distinct indices"):
+        q_polynomial(support, 3)
+
+
+# the interpolation point counts k = N(N-1)² + 5 of N = 3..6, each under a
+# 20-bit, a 30-bit and a wide (Python-int) prime
+INTERPOLATION_KEYS = [
+    (n * (n - 1) ** 2 + 5, embedding_primes(n, 1, bits)[0].prime) for n in (3, 4, 5, 6) for bits in (20, 30, 40)
+]
+
+
+@pytest.mark.parametrize("k, p", INTERPOLATION_KEYS)
+def test_interpolation_matrix_inverts_vandermonde(k, p):
+    m = monomials._interpolation_matrix(k, p)
+    assert m.shape == (k, k) and m.dtype == backends.residue_dtype(p)
+    vandermonde = np.array([[pow(t, e, p) for e in range(k)] for t in range(k)], dtype=object)
+    assert ((m.astype(object).dot(vandermonde) % p) == np.eye(k, dtype=np.int64)).all()
+    assert monomials._interpolation_matrix(k, p) is m
+
+
+def test_cached_interpolation_tables_are_read_only():
+    ctx = embedding_primes(3, 1, 20)[0]
+    matrix, powers = monomials._interpolation_matrix(17, ctx.prime), monomials._point_powers(3, ctx.prime, 17)
+    assert powers.tolist() == [[pow(t, j * j, ctx.prime) for j in range(3)] for t in range(17)]
+    for table in (matrix, powers):
+        with pytest.raises(ValueError):
+            table[0, 0] = 7
+    assert monomials._point_powers(3, ctx.prime, 17) is powers
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_interpolation_round_trips_coefficients(data):
+    k, p = data.draw(st.sampled_from(INTERPOLATION_KEYS))
+    coeffs = data.draw(st.lists(st.integers(0, p - 1), min_size=k, max_size=k))
+    ys = [0] * k
+    for t in range(k):
+        for c in reversed(coeffs):
+            ys[t] = (ys[t] * t + c) % p
+    assert monomials._interpolate_mod(ys, p) == coeffs
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
