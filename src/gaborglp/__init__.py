@@ -64,7 +64,6 @@ from .operators import (
 from .verify import (
     SupportEnumeration,
     VerificationReport,
-    check_support,
     fourier_minor_check,
     verify_glp,
     write_witness_csv,

@@ -13,8 +13,8 @@ determinant is zero.  Two interchangeable backends answer that question:
   minors given as prefixes of n-1 columns plus their own last columns, so
   minors that share a prefix (as in the verify scan) cost one elimination.
   `det_batch_mod`, which Q(x) and the zero test `det_batch_nonzero_mod`
-  call, is that kernel with each full matrix its own prefix.  Scalar
-  `det_mod` is the independent reference; `residue_dtype` decides the width.
+  call, is that kernel with each full matrix its own prefix;
+  `residue_dtype` decides the width.
 
 * float: extended-precision complex arithmetic (80-bit long double where the
   platform provides it, i.e. a 64-bit mantissa) with an explicit relative
@@ -22,7 +22,12 @@ determinant is zero.  Two interchangeable backends answer that question:
   eps times the matrix's max entry modulus (`FloatBackend.is_zero`); the
   extended mantissa keeps elimination noise on genuinely singular systems
   far below that threshold.  Float determinants come from one batched kernel,
-  `det_batch_float`; scalar `det_float` is that kernel on a stack of one.
+  `det_batch_float`.
+
+The package itself calls neither scalar determinant, `det_mod` nor
+`det_float`.  Both stay: the tests take `det_mod` as the independent
+reference for the batched kernels and both as their scalar verdict oracle,
+and the benchmark's tracer (`perfbench/tracer.py`) looks both up by name.
 """
 
 from __future__ import annotations
@@ -195,6 +200,7 @@ def embed_rational_complex(
 # ---------------------------------------------------------------------------
 
 
+# no caller in the package: the tests' scalar reference, and a traced benchmark target
 def det_mod(rows, p: int) -> int:
     """Exact determinant mod p by fraction-free Gaussian elimination.
 
@@ -296,6 +302,7 @@ def det_batch_nonzero_mod(mats: np.ndarray, p: int) -> np.ndarray:
     return det_batch_mod(mats, p) != 0
 
 
+# no caller in the package: the tests' scalar float oracle, and a traced benchmark target
 def det_float(mat: np.ndarray) -> complex:
     """Determinant of one complex matrix: `det_batch_float` on a stack of one."""
     return det_batch_float(np.asarray(mat)[None])[0]

@@ -43,7 +43,7 @@ from .backends import (
     FloatBackend,
     embedding_primes,
 )
-from .operators import Window
+from .operators import Window, support_cells
 
 SCHEMA_VERSION = 1
 
@@ -207,10 +207,13 @@ def cmd_verify(args) -> tuple[dict, int]:
     if args.mode == "sampled":
         enum = verify.SupportEnumeration(n, "sampled", count=args.count, seed=args.seed)
     else:
-        budget = math.comb(n * n, n)
-        if budget > args.exhaustive_budget:
+        # the float scan tests every support, the exact scan one per translation orbit
+        rows, what = math.comb(n * n, n), "{} supports"
+        if args.backend == "exact":  # an orbit has at most N² members
+            rows, what = -(-rows // (n * n)), "at least {} orbit representatives"
+        if rows > args.exhaustive_budget:
             raise ValueError(
-                f"exhaustive mode needs {budget} supports; over budget "
+                f"exhaustive mode tests {what.format(rows)}; over budget "
                 f"{args.exhaustive_budget} — use --mode sampled"
             )
         enum = verify.SupportEnumeration(n, "exhaustive")
@@ -246,19 +249,9 @@ def cmd_verify(args) -> tuple[dict, int]:
     return report, 0 if not report_obj.dependent else 1
 
 
-def _parse_support(text: str, n: int) -> list[tuple[int, int]]:
-    out = []
-    for part in text.replace("(", "").replace(")", "").split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        k, l = part.split(",")
-        out.append((int(k) % n, int(l) % n))
-    if len(out) != n:
-        raise ValueError(f"support must contain exactly {n} indices, got {len(out)}")
-    if len(set(out)) != n:
-        raise ValueError("support contains duplicate indices")
-    return out
+def _parse_support(text: str, n: int) -> tuple[tuple[int, int], ...]:
+    parts = text.replace("(", "").replace(")", "").split(";")
+    return support_cells([part.split(",") for part in parts if part.strip()], n, n)
 
 
 def cmd_analyze(args) -> tuple[dict, int]:
@@ -322,6 +315,8 @@ def cmd_simulate(args) -> tuple[list[dict], int]:
     n = args.n
     if args.trials < 0:
         raise ValueError(f"the number of trials must be at least 0, got {args.trials}")
+    if not args.tolerance >= 0:  # NaN compares false, so it would fail every trial
+        raise ValueError(f"--tolerance must be a nonnegative number, got {args.tolerance}")
     erasures = args.erasures if args.erasures is not None else n * n - n
     window = _build_window(args, n)
     if window.backend.kind != "float":

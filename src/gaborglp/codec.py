@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import TimeFreqIndex, Window, full_support, gabor_matrix, stft, tf_shift
+from .operators import TimeFreqIndex, Window, full_support, gabor_matrix, stft, support_cells
 
 
 class InsufficientPacketsError(ValueError):
@@ -119,9 +119,8 @@ def decode(packets, window: Window) -> np.ndarray:
     n = window.n
     if len(packets) < n:
         raise InsufficientPacketsError(f"need at least {n} packets, got {len(packets)}")
-    if len({(p.kappa, p.lam) for p in packets}) != len(packets):
-        raise ValueError("duplicate packet indices")
     dtype = window.backend.dtype
+    # gabor_matrix refuses packets whose indices repeat mod N
     A = np.conj(gabor_matrix(window, [(p.kappa, p.lam) for p in packets]).T)
     b = np.array([p.value for p in packets], dtype=dtype)
     return _solve_consistent(A, b, window.backend.eps)
@@ -136,9 +135,7 @@ def identify_operator(observed: np.ndarray, support, window: Window) -> Operator
     if window.backend.kind != "float":
         raise ValueError("identify_operator requires the float backend")
     n = window.n
-    support = tuple((int(k) % n, int(l) % n) for k, l in support)
-    if len(set(support)) != len(support):
-        raise ValueError("duplicate index in support")
+    support = support_cells(support, n, None)
     if len(support) > n:
         raise AmbiguousOperatorError(
             f"|support| = {len(support)} > {n}: identification cannot be injective"
@@ -147,14 +144,6 @@ def identify_operator(observed: np.ndarray, support, window: Window) -> Operator
     B = gabor_matrix(window, support)
     c = _solve_consistent(B, observed, window.backend.eps)
     return OperatorCoefficients(support, c)
-
-
-def apply_operator(coeffs: OperatorCoefficients, x: np.ndarray, window: Window) -> np.ndarray:
-    """Forward map Σ c_{κλ} π(κ,λ)·x — the oracle for identification tests."""
-    out = np.zeros(window.n, dtype=window.backend.dtype)
-    for idx, c in zip(coeffs.support, coeffs.coefficients):
-        out = out + c * tf_shift(np.asarray(x, dtype=window.backend.dtype), idx, window.backend)
-    return out
 
 
 @dataclass

@@ -47,7 +47,7 @@ from .backends import (
     embedding_primes,
     residue_dtype,
 )
-from .operators import gabor_indices
+from .operators import gabor_indices, support_cells
 
 TimeFreqIndex = tuple[int, int]
 Monomial = tuple[int, ...]  # exponent vector α with Σα = N
@@ -218,12 +218,9 @@ class ColumnProfile:
 
 
 def profile_of_support(support, n: int) -> ColumnProfile:
-    support = list(support)
-    if len(support) != n:
-        raise ValueError(f"support must have exactly {n} indices")
     counts = [0] * n
-    for kappa, _ in support:
-        counts[kappa % n] += 1
+    for kappa, _ in support_cells(support, n, n):
+        counts[kappa] += 1
     return ColumnProfile(tuple(counts))
 
 
@@ -300,9 +297,9 @@ def normalize_profile(profile: ColumnProfile) -> tuple[int, ColumnProfile]:
 
 def normalize_support(support, n: int) -> tuple[int, list[TimeFreqIndex]]:
     """Translate Λ by (-γ, 0) so its profile is normalized; lex-sorted result."""
+    support = support_cells(support, n, n)
     gamma, _ = normalize_profile(profile_of_support(support, n))
-    out = sorted(((k - gamma) % n, l % n) for k, l in support)
-    return gamma, out
+    return gamma, sorted(((k - gamma) % n, l) for k, l in support)
 
 
 def interval_of_profile(profile: ColumnProfile) -> tuple[int, int]:
@@ -415,9 +412,7 @@ def expand_determinant(support, n: int) -> dict[Monomial, CyclicPoly]:
     """
     if n > 6:
         raise DimensionTooLargeError(f"refusing the {n}! diagonal enumeration")
-    support = sorted((k % n, l % n) for k, l in support)
-    if len(support) != n or len(set(support)) != n:
-        raise ValueError(f"support must consist of {n} distinct indices")
+    support = sorted(support_cells(support, n, n))
     acc: dict[Monomial, list[int]] = {}
     for perm in itertools.permutations(range(n)):
         sign = _perm_sign(perm)
@@ -443,9 +438,6 @@ def lowest_index_monomial(support, n: int) -> Monomial:
     column left and whose row κ + v is free.  The result is therefore the same
     for every choice among minimal entries.
     """
-    support = [(k % n, l % n) for k, l in support]
-    if len(support) != n or len(set(support)) != n:
-        raise ValueError(f"support must consist of {n} distinct indices")
     left = list(profile_of_support(support, n).counts)
     free = [True] * n
     alpha = [0] * n
@@ -589,11 +581,12 @@ def _point_powers(n: int, p: int, count: int) -> np.ndarray:
 
 
 def _q_eval_points(support, n: int, ctx: CyclotomicContext, count: int) -> np.ndarray:
-    """The symbolic determinant at windows z_j = t^(j²), t = 0..count-1, by
-    one batched determinant of the stacked Gabor matrices, whose entries
-    index the cached table `_point_powers` with each column's time shift."""
+    """The symbolic determinant of a support of reduced cells, in any order
+    (they are sorted here), at windows z_j = t^(j²), t = 0..count-1, by one
+    batched determinant of the stacked Gabor matrices, whose entries index
+    the cached table `_point_powers` with each column's time shift."""
     backend = ResidueBackend(ctx)
-    shift, phase = gabor_indices(sorted((k % n, l % n) for k, l in support), n)
+    shift, phase = gabor_indices(sorted(support), n)
     mats = backend.mul(_point_powers(n, ctx.prime, count)[:, shift], backend.omega_table(n)[phase])
     return det_batch_mod(mats, ctx.prime)
 
@@ -617,8 +610,7 @@ def q_polynomial(support, n: int, min_bits: int = DEFAULT_MIN_BITS) -> QPolynomi
     computation is retried under further primes before failing.  A support
     that is not N distinct cells mod N is refused with ValueError.
     """
-    if len(support) != n or len({(k % n, l % n) for k, l in support}) != n:
-        raise ValueError(f"support must consist of {n} distinct indices")
+    support = support_cells(support, n, n)
     degree_bound = n * (n - 1) ** 2
     count = degree_bound + 5
     for ctx in _q_contexts(n, min_bits):

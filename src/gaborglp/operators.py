@@ -113,16 +113,22 @@ def full_support(n: int) -> list[TimeFreqIndex]:
     return [(k, l) for k in range(n) for l in range(n)]
 
 
+def support_cells(support, n: int, size: int | None) -> tuple[TimeFreqIndex, ...]:
+    """The cells of a support reduced mod n, in the order given.  The one rule
+    for a valid support: ValueError unless the cells are non-empty, distinct
+    after reduction and, where `size` is not None, `size` in number."""
+    cells = tuple((int(k) % n, int(l) % n) for k, l in support)
+    if not cells or len(set(cells)) != len(cells) or size not in (None, len(cells)):
+        count = "one or more" if size is None else size
+        raise ValueError(f"support must consist of {count} distinct indices mod {n}: {list(cells)}")
+    return cells
+
+
 def gabor_indices(support, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The index arrays of the Gabor matrix of a support, checked after
-    reduction mod n: G[j, c] = ω^phase[j, c] · window[shift[j, c]], where
-    shift = (j - κ_c) mod n and phase = (j·λ_c) mod n."""
-    support = tuple((int(k) % n, int(l) % n) for k, l in support)
-    if not support:
-        raise ValueError("support must be non-empty")
-    if len(set(support)) != len(support):
-        raise ValueError("duplicate time-frequency index in support")
-    kappa, lam = np.array(support).T
+    """The index arrays of the Gabor matrix of a support (see `support_cells`):
+    G[j, c] = ω^phase[j, c] · window[shift[j, c]], where shift = (j - κ_c) mod n
+    and phase = (j·λ_c) mod n."""
+    kappa, lam = np.array(support_cells(support, n, None)).T
     j = np.arange(n)[:, None]
     return (j - kappa) % n, j * lam % n
 

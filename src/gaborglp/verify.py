@@ -4,9 +4,9 @@ A window is in general linear position (GLP) when every N-element subset of
 its N² time-frequency shifts is linearly independent, i.e. every N×N minor
 of the full system matrix is nonzero.  This module enumerates supports
 (exhaustively or by seeded sampling), evaluates the minors in batches, and
-lists each dependent support in a deterministic report as a `SupportVerdict`,
-the record `check_support` returns for a single support.  The scans return
-dependent members as arrays, which `verify_glp` sorts and converts once.
+lists each dependent support in a deterministic report as a `SupportVerdict`.
+The scans return dependent members as arrays, which `verify_glp` sorts and
+converts once.
 
 Exhaustive mode checks one support per translation orbit.  As π(a,b)·π(κ,λ)
 = ω^c·π(κ+a, λ+b), the matrix of Λ+(a,b) is π(a,b) times the matrix of Λ
@@ -47,13 +47,11 @@ from .backends import (
     DEFAULT_NUM_PRIMES,
     det_batch_float,
     det_batch_nonzero_mod,
-    det_float,
-    det_mod,
     det_prefix_mod,
     embedding_primes,
     is_prime,
 )
-from .operators import TimeFreqIndex, Window, gabor_matrix, system_matrix
+from .operators import TimeFreqIndex, Window, system_matrix
 
 DEFAULT_CHUNK = 65_536
 
@@ -177,17 +175,17 @@ def _orbit_members(reps: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# single-support check
+# batch engine
 # ---------------------------------------------------------------------------
 
 
 @dataclass
 class SupportVerdict:
-    """The verdict on one support, from `check_support` or, for a dependent
-    support, from `verify_glp`; `to_dict` writes it as a report entry."""
+    """The record of one dependent support that `verify_glp` reports: zero
+    residues under every prime used (exact), or the determinant modulus and
+    a numerical null vector (float); `to_dict` writes it as a report entry."""
 
     support: tuple[TimeFreqIndex, ...]
-    independent: bool
     residues: dict[int, int] | None = None  # exact backend: prime -> det residue
     det_modulus: float | None = None  # float backend
     witness: np.ndarray | None = field(default=None, repr=False)
@@ -227,37 +225,6 @@ def _float_witness(mats: np.ndarray) -> np.ndarray:
     mats = np.asarray(mats, dtype=np.complex128)
     vh = [np.linalg.svd(mats[s : s + 4096])[2][:, -1] for s in range(0, max(len(mats), 1), 4096)]
     return np.conj(np.concatenate(vh))
-
-
-def check_support(
-    window: Window, support, num_primes: int = DEFAULT_NUM_PRIMES
-) -> SupportVerdict:
-    """Verdict for one support; ordering of the support does not matter."""
-    n = window.n
-    support = tuple(sorted((int(k) % n, int(l) % n) for k, l in support))
-    if len(support) != n or len(set(support)) != n:
-        raise ValueError(f"support must consist of {n} distinct indices")
-    if window.backend.kind == "exact":
-        residues: dict[int, int] = {}
-        for w in _exact_windows(window, num_primes):
-            mat = gabor_matrix(w, support)
-            r = det_mod(mat.tolist(), w.backend.prime)
-            residues[w.backend.prime] = r
-            if r != 0:
-                return SupportVerdict(support, True, residues=residues)
-        return SupportVerdict(support, False, residues=residues)
-    mat = gabor_matrix(window, support)
-    det = det_float(mat)
-    modulus = float(abs(complex(det)))
-    if window.backend.is_zero(det, np.abs(mat).max()):
-        witness = _float_witness(mat[None])[0]
-        return SupportVerdict(support, False, det_modulus=modulus, witness=witness)
-    return SupportVerdict(support, True, det_modulus=modulus)
-
-
-# ---------------------------------------------------------------------------
-# batch engine
-# ---------------------------------------------------------------------------
 
 
 def _escalate(nonzero, primes: list[int]) -> tuple[np.ndarray, list[int]]:
@@ -411,12 +378,12 @@ def verify_glp(
     used = sorted(primes_used)
     if kind == "exact":
         # a dependent row is zero under every prime
-        dependent = [SupportVerdict(s, False, dict.fromkeys(used, 0)) for s in supports]
+        dependent = [SupportVerdict(s, dict.fromkeys(used, 0)) for s in supports]
     else:
         # |d| of the complex128 rounding of d: a long-double abs rounds the last bit differently
         moduli = np.abs(data[0][order].astype(np.complex128)).tolist()
         dependent = [
-            SupportVerdict(s, False, det_modulus=m, witness=w)
+            SupportVerdict(s, det_modulus=m, witness=w)
             for s, m, w in zip(supports, moduli, data[1][order])
         ]
 

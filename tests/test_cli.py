@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gaborglp import windows
+from gaborglp import verify, windows
 from gaborglp.cli import main
 from gaborglp.operators import Window
 
@@ -110,6 +110,24 @@ def test_verify_config_errors(tmp_path):
     assert code == 2
 
 
+def test_exhaustive_budget_counts_the_rows_the_scan_tests(monkeypatch, capsys):
+    # at N = 7 the exact scan tests one representative per orbit (at least
+    # ⌈C(49, 7)/49⌉ = 1,753,074 rows), the float scan all 85,900,584 supports
+    class Scanned(Exception):
+        pass
+
+    def scan(*args, **kwargs):
+        raise Scanned
+
+    monkeypatch.setattr(verify, "verify_glp", scan)
+    with pytest.raises(Scanned):
+        main(["verify", "--n", "7"])
+    assert main(["verify", "--n", "7", "--backend", "float"]) == 2
+    assert "tests 85900584 supports; over budget 5000000" in capsys.readouterr().err
+    assert main(["verify", "--n", "7", "--exhaustive-budget", "1753073"]) == 2
+    assert "tests at least 1753074 orbit representatives" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -134,6 +152,9 @@ def test_verify_config_errors(tmp_path):
         ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--eps", "0"],
         ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--eps", "-1"],
         ["simulate", "--n", "3", "--window", "random", "--eps", "nan"],
+        # `err <= nan` is false, so a NaN or negative tolerance would fail every trial
+        ["simulate", "--n", "3", "--window", "random", "--tolerance", "nan"],
+        ["simulate", "--n", "3", "--window", "random", "--tolerance", "-1"],
         # an output path that cannot be written is a usage error, not a violation
         ["verify", "--n", "4", "-o", "{dir}"],
         ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--witness-csv", "{dir}"],

@@ -8,7 +8,6 @@ from gaborglp.codec import (
     InsufficientPacketsError,
     OperatorCoefficients,
     RankDeficientError,
-    apply_operator,
     decode,
     encode,
     erase,
@@ -18,6 +17,7 @@ from gaborglp.codec import (
 )
 from gaborglp.operators import Window, full_support, gabor_matrix, tf_shift
 from gaborglp.windows import ones_window
+from oracles import apply_operator
 
 FB = FloatBackend()
 

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaborglp import cli, codec, monomials
 from gaborglp.backends import COMPLEX_DTYPE, FloatBackend, ResidueBackend, embedding_primes
 from gaborglp.operators import (
     Window,
     frame_operator_defect,
     full_support,
+    gabor_indices,
     gabor_matrix,
     modulate,
     stft,
@@ -224,3 +226,57 @@ def test_window_validation():
 
 def test_full_support_lexicographic():
     assert full_support(2) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+# ---------------------------------------------------------------------------
+# the support rule: every entry point refuses a support that is not N
+# distinct cells mod N (those that take any count refuse repeated cells)
+# ---------------------------------------------------------------------------
+
+BAD_SUPPORTS = {
+    "short": [(0, 0), (0, 1)],
+    "long": [(0, 0), (0, 1), (1, 0), (2, 2)],
+    "duplicate": [(0, 0), (0, 1), (0, 1)],
+    "duplicate-mod-n": [(0, 0), (0, 1), (3, 1)],
+}
+
+
+# entry point -> (call on a support at N = 3, the bad supports it refuses)
+SUPPORT_ENTRY_POINTS = {
+    "gabor_indices": (lambda s: gabor_indices(s, 3), ["duplicate", "duplicate-mod-n"]),
+    "profile_of_support": (lambda s: monomials.profile_of_support(s, 3), list(BAD_SUPPORTS)),
+    "normalize_support": (lambda s: monomials.normalize_support(s, 3), list(BAD_SUPPORTS)),
+    "ci_coefficient": (lambda s: monomials.ci_coefficient(s, 3), list(BAD_SUPPORTS)),
+    "expand_determinant": (lambda s: monomials.expand_determinant(s, 3), list(BAD_SUPPORTS)),
+    "lowest_index_monomial": (lambda s: monomials.lowest_index_monomial(s, 3), list(BAD_SUPPORTS)),
+    "q_polynomial": (lambda s: monomials.q_polynomial(s, 3), list(BAD_SUPPORTS)),
+    # more than N cells is AmbiguousOperatorError, a ValueError
+    "identify_operator": (
+        lambda s: codec.identify_operator(np.ones(3), s, random_window(3, 0)),
+        ["long", "duplicate", "duplicate-mod-n"],
+    ),
+    # fewer than N packets is InsufficientPacketsError, a ValueError
+    "decode": (
+        lambda s: codec.decode([codec.CoefficientPacket(k, l, 1.0) for k, l in s], random_window(3, 0)),
+        ["short", "duplicate", "duplicate-mod-n"],
+    ),
+    "cli._parse_support": (
+        lambda s: cli._parse_support(";".join(f"({k},{l})" for k, l in s), 3),
+        list(BAD_SUPPORTS),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, case",
+    [(entry, case) for entry, (_, cases) in SUPPORT_ENTRY_POINTS.items() for case in cases]
+    + [("analyze", case) for case in BAD_SUPPORTS],
+)
+def test_every_entry_point_refuses_a_support_that_is_not_n_distinct_cells(entry, case):
+    support = BAD_SUPPORTS[case]
+    if entry == "analyze":
+        text = ";".join(f"({k},{l})" for k, l in support)
+        assert cli.main(["analyze", "--n", "3", "--support", text]) == 2
+        return
+    with pytest.raises(ValueError, match="support must consist of|packets|identification"):
+        SUPPORT_ENTRY_POINTS[entry][0](support)

@@ -32,7 +32,6 @@ from gaborglp.verify import (
     _runs_nonzero,
     _scan_chunk_exact,
     _scan_chunk_float,
-    check_support,
     fourier_minor_check,
     verify_glp,
     write_witness_csv,
@@ -43,6 +42,7 @@ from gaborglp.windows import (
     power_window_root_of_unity,
     random_window,
 )
+from oracles import check_support
 
 FB = FloatBackend()
 
@@ -175,27 +175,27 @@ def test_sampled_enumeration_validation():
 
 
 # ---------------------------------------------------------------------------
-# single-support checks
+# the scalar oracle (tests/oracles.py)
 # ---------------------------------------------------------------------------
 
 
 def test_check_support_equal_columns_dependent():
-    verdict = check_support(cwin(1, 1), [(0, 0), (1, 0)])
-    assert not verdict.independent
+    independent, verdict = check_support(cwin(1, 1), [(0, 0), (1, 0)])
+    assert not independent
     assert verdict.witness is not None
 
 
 def test_check_support_independent_example():
     # det [[1,2],[2,-1]] = -5
-    verdict = check_support(cwin(1, 2), [(0, 0), (1, 1)])
-    assert verdict.independent
+    independent, verdict = check_support(cwin(1, 2), [(0, 0), (1, 1)])
+    assert independent
     assert abs(verdict.det_modulus - 5.0) < 1e-12
 
 
 def test_check_support_complex_dependent_example():
     # w = (1, i): det = 1·(-1) - i·i = 0
-    verdict = check_support(cwin(1, 1j), [(0, 0), (1, 1)])
-    assert not verdict.independent
+    independent, verdict = check_support(cwin(1, 1j), [(0, 0), (1, 1)])
+    assert not independent
     mat = gabor_matrix(cwin(1, 1j), verdict.support).astype(np.complex128)
     wit = verdict.witness
     residual = np.abs(mat @ wit).max()
@@ -206,19 +206,19 @@ def test_check_support_permutation_invariance():
     rng = random.Random(3)
     w = cwin(1, 2, 3j)
     support = [(0, 1), (2, 0), (1, 1)]
-    base = check_support(w, support).independent
+    independent, _ = check_support(w, support)
     for perm in itertools.permutations(support):
-        assert check_support(w, list(perm)).independent == base
+        assert check_support(w, list(perm))[0] == independent
 
 
 def test_check_support_exact_escalation():
     w = ones_window_exact(2)
-    verdict = check_support(w, [(0, 0), (1, 0)])
-    assert not verdict.independent
+    independent, verdict = check_support(w, [(0, 0), (1, 0)])
+    assert not independent
     assert len(verdict.residues) == 3  # three primes agree on zero
     assert all(r == 0 for r in verdict.residues.values())
-    ind = check_support(w, [(0, 0), (0, 1)])
-    assert ind.independent
+    independent, _ = check_support(w, [(0, 0), (0, 1)])
+    assert independent
     with pytest.raises(ValueError):  # escalation over no prime is refused
         check_support(w, [(0, 0), (1, 0)], num_primes=0)
 
@@ -336,16 +336,16 @@ def test_verify_glp_refuses_a_scan_that_misses_supports(monkeypatch, exact_windo
 
 
 def assert_matches_scalar_reference(window):
-    """verify_glp's batched escalation agrees with check_support: its dependent
-    records equal the dependent verdicts, record for record and in order."""
+    """verify_glp's batched escalation agrees with the scalar oracle: its
+    dependent records equal the dependent verdicts, record for record and in order."""
     n = window.n
     report = verify_glp(window, SupportEnumeration(n, "exhaustive"))
     verdicts = [
         check_support(window, columns_to_support(cols, n))
         for cols in itertools.combinations(range(n * n), n)
     ]
-    assert report.dependent == [v for v in verdicts if not v.independent]
-    assert report.primes_used == sorted(set().union(*(v.residues for v in verdicts)))
+    assert report.dependent == [v for independent, v in verdicts if not independent]
+    assert report.primes_used == sorted(set().union(*(v.residues for _, v in verdicts)))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -394,7 +394,7 @@ def test_escalation_passes_over_primes_without_an_image(rationals):
     assert [d.support for d in report.dependent] == dependent
     assert all(d.residues == {17: 0, 37: 0, 41: 0} for d in report.dependent)
     assert report.primes_used == [17, 37, 41]
-    assert check_support(window, dependent[0]).residues == {17: 0, 37: 0, 41: 0}
+    assert check_support(window, dependent[0])[1].residues == {17: 0, 37: 0, 41: 0}
 
 
 def full_enumeration_oracle(window):
@@ -499,13 +499,13 @@ def test_every_exact_batch_runs_on_the_prefix_kernel(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4])
 def test_float_scan_tests_every_orbit_member(n):
     # the scan's moduli and batched witnesses equal, bit for bit, those that
-    # check_support computes for each support on its own
+    # the scalar oracle computes for each support on its own
     window = ones_window(n)
     report = verify_glp(window, SupportEnumeration(n, "exhaustive"), chunk_size=7)
     expected = []
     for cols in itertools.combinations(range(n * n), n):
-        verdict = check_support(window, columns_to_support(cols, n))
-        if not verdict.independent:
+        independent, verdict = check_support(window, columns_to_support(cols, n))
+        if not independent:
             expected.append((verdict.support, verdict.det_modulus, verdict.witness.tobytes()))
     assert report.supports_tested == math.comb(n * n, n)
     got = [(d.support, d.det_modulus, d.witness.tobytes()) for d in report.dependent]
@@ -579,9 +579,9 @@ def test_backend_agreement_on_rational_windows():
             FB,
         )
         support = sorted(rng.sample([(a, b) for a in range(n) for b in range(n)], n))
-        ve = check_support(exact_w, support)
-        vf = check_support(float_w, support)
-        assert ve.independent == vf.independent, (rationals, support)
+        exact_independent, _ = check_support(exact_w, support)
+        float_independent, _ = check_support(float_w, support)
+        assert exact_independent == float_independent, (rationals, support)
         agreements += 1
     assert agreements >= 150
 
