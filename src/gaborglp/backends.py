@@ -9,12 +9,12 @@ determinant is zero.  Two interchangeable backends answer that question:
   residue certifies that the complex value is nonzero.  A zero residue only
   means "zero mod this prime"; callers escalate zero verdicts across several
   independent primes (see `embedding_primes`) before reporting dependence.
-  Exact determinants come from one batched kernel, `det_prefix_mod`, on
-  minors given as prefixes of n-1 columns plus their own last columns, so
-  minors that share a prefix (as in the verify scan) cost one elimination.
-  `det_batch_mod`, which Q(x) and the zero test `det_batch_nonzero_mod`
-  call, is that kernel with each full matrix its own prefix;
-  `residue_dtype` decides the width.
+  Exact determinants come from one kernel, `laplace_step_mod`, which appends
+  a column to the maximal minors of each matrix's first d columns by Laplace
+  expansion, with no pivot, division or sign bookkeeping.  `det_batch_mod`
+  (Q(x), and the zero test `det_batch_nonzero_mod`) takes n steps a matrix;
+  the verify scan takes one step per distinct column prefix, so minors that
+  share a prefix share its work.  `residue_dtype` decides the width.
 
 * float: extended-precision complex arithmetic (80-bit long double where the
   platform provides it, i.e. a 64-bit mantissa) with an explicit relative
@@ -33,6 +33,7 @@ and the benchmark's tracer (`perfbench/tracer.py`) looks both up by name.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -241,60 +242,44 @@ def residue_dtype(p: int) -> np.dtype:
     return np.dtype(object if p >= 1 << 31 else np.int64)
 
 
-def det_prefix_mod(prefixes: np.ndarray, p: int, lasts: np.ndarray, gid: np.ndarray) -> np.ndarray:
-    """Exact determinants mod p of T minors, each a shared prefix plus its own
-    last column: the t-th minor is the (n, n-1) prefix `prefixes[gid[t]]`
-    with the column `lasts[:, t]` (`lasts` has shape (n, T)) appended.
+@functools.lru_cache
+def _expansion(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index tables of a Laplace step from the d×d to the (d+1)×(d+1) minors of n-row
+    matrices, row subsets in `itertools.combinations` order: subset t is `rows[t]`, `rest[t, j]`
+    ranks it without its j-th row among the d-subsets, and `sign[j]` = (-1)^(j+d)."""
+    rank = {s: i for i, s in enumerate(itertools.combinations(range(n), d))}
+    subsets = list(itertools.combinations(range(n), d + 1))
+    rows = np.array(subsets, dtype=np.intp)
+    rest = np.array([[rank[s[:j] + s[j + 1 :]] for j in range(d + 1)] for s in subsets], dtype=np.intp)
+    sign = np.array([(-1) ** (j + d) for j in range(d + 1)], dtype=np.int64)
+    for table in (rows, rest, sign):
+        table.setflags(write=False)
+    return rows, rest, sign
 
-    Division-free elimination (row_i <- a_k*row_i - f*row_k; Bareiss 1968)
-    runs once per prefix, for k = 0..n-2, and replays each step's row swap,
-    pivot a_k and multipliers f on the last columns of that prefix's minors.
-    Step k scales the determinant by a_k^(n-k-1), so the scale is the product
-    of the running pivot products; it is divided out once, by a
-    square-and-multiply inverse over all prefixes.  A minor's determinant is
-    its prefix's swap sign times its pivot product times its reduced last
-    entry, over the scale; a rank-deficient prefix gives 0.
-    """
-    dtype = residue_dtype(p)
-    # reduced into C order, so that each step updates contiguous rows
-    m = np.remainder(np.asarray(prefixes, dtype=dtype), p, order="C")
-    y = np.remainder(np.asarray(lasts, dtype=dtype), p, order="C")
-    gid = np.asarray(gid, dtype=np.intp)
-    G, n, w = m.shape
-    if w != n - 1 or y.shape[0] != n:
-        raise ValueError("minors must be square: prefixes (G, n, n-1), last columns (n, T)")
-    sign = np.ones(G, dtype=bool)
-    pivots = scale = inv = np.ones(G, dtype=m.dtype)
-    idx, tidx = np.arange(G), np.arange(y.shape[1])
-    for k in range(n - 1):
-        piv = (m[:, k:, k] != 0).argmax(axis=1)
-        if piv.any():
-            sign ^= piv > 0
-            m[idx, k + piv, k:], m[:, k, k:] = m[:, k, k:].copy(), m[idx, k + piv, k:]
-            swap = k + piv.take(gid)
-            y[swap, tidx], y[k] = y[k].copy(), y[swap, tidx]
-        col = m[:, k:, k]
-        a, f = col[:, 0], col[:, 1:]
-        pivots = pivots * a % p
-        scale = scale * pivots % p
-        c = col.T.take(gid, axis=1)  # each last column's pivot and multipliers
-        y[k + 1 :] = (c[0] * y[k + 1 :] - c[1:] * y[k]) % p
-        m[:, k + 1 :, k:] = (a[:, None, None] * m[:, k + 1 :, k:] - f[:, :, None] * m[:, k : k + 1, k:]) % p
-    e = p - 2
-    while e:
-        if e & 1:
-            inv = inv * scale % p
-        scale = scale * scale % p
-        e >>= 1
-    factor = pivots * inv % p
-    return np.where(sign, factor, (p - factor) % p).take(gid) * y[-1] % p
+
+def laplace_step_mod(coords: np.ndarray, cols: np.ndarray, d: int, p: int) -> np.ndarray:
+    """The C(n, d+1) minors mod p of R matrices after one more column: row r of `coords` holds
+    the reduced C(n, d) minors P of matrix r's first d columns (row subsets in `combinations`
+    order), row r of `cols` (R, n) is its next column x, and the minor on the rows
+    T = (t_0 < … < t_d) is Σ_j (-1)^(j+d)·x[t_j]·P[T∖t_j].  Each product is reduced before the
+    signed sum, so the sum fits int64 wherever `residue_dtype` is int64."""
+    rows, rest, sign = _expansion(cols.shape[1], d)
+    prod = np.take(np.asarray(coords, dtype=residue_dtype(p)), rest, axis=1)
+    prod *= np.take(cols, rows, axis=1)
+    prod %= p
+    return prod @ sign % p
 
 
 def det_batch_mod(mats: np.ndarray, p: int) -> np.ndarray:
     """Exact determinants mod p of a stack of (B, n, n) integer matrices:
-    `det_prefix_mod` with each matrix its own prefix and its last column."""
-    mats = np.asarray(mats)
-    return det_prefix_mod(mats[..., :-1], p, mats[..., -1].T, np.arange(len(mats)))
+    n Laplace steps from the one empty minor, a column at a time."""
+    m = np.remainder(np.asarray(mats, dtype=residue_dtype(p)), p)
+    if m.shape[1] != m.shape[2]:
+        raise ValueError("matrices must be square")
+    coords = np.ones((len(m), 1), dtype=m.dtype)
+    for d in range(m.shape[2]):
+        coords = laplace_step_mod(coords, m[:, :, d], d, p)
+    return coords[:, 0]
 
 
 def det_batch_nonzero_mod(mats: np.ndarray, p: int) -> np.ndarray:

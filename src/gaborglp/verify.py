@@ -16,10 +16,10 @@ Representatives grow column by column under a necessary bound, then pass
 an exact test (`_representatives`).  The exact scan runs the kernel on
 representatives and reports every member of a dependent orbit; the float
 scan tests every member, since rounding makes float moduli and witnesses
-differ across an orbit.  The depth-first walk emits siblings, which share
-their first N-1 columns, as one run of rows; the exact scan hands the
-kernel each run's shared prefix once and every row's last column, and
-gets the verdicts back in row order (`_runs_nonzero`).
+differ across an orbit.  The exact scan walks each block's rows column
+by column (`_minors_mod`): a prefix of d+1 columns gets its C(N, d+1)
+maximal minors by one Laplace step from its parent prefix, and rows in
+depth-first order share long prefixes, so they share work at every depth.
 
 Soundness convention for the exact backend: a nonzero residue mod p proves
 the minor nonzero; a zero residue is only "zero mod p" and is escalated
@@ -47,11 +47,13 @@ from .backends import (
     DEFAULT_NUM_PRIMES,
     det_batch_float,
     det_batch_nonzero_mod,
-    det_prefix_mod,
     embedding_primes,
     is_prime,
+    laplace_step_mod,
+    residue_dtype,
 )
 from .operators import TimeFreqIndex, Window, system_matrix
+from .windows import ones_window_exact
 
 DEFAULT_CHUNK = 65_536
 
@@ -98,7 +100,7 @@ class SupportEnumeration:
                 yield s
 
     def chunks(self, size: int = DEFAULT_CHUNK):
-        """Blocks of at most `size` rows, as (supports, weights) arrays.
+        """Blocks of at most max(1, `size` // N) rows, as (supports, weights) arrays.
 
         A row stands for `weight` supports: an exhaustive row is an orbit
         representative weighted by its orbit size, a sampled row is one drawn
@@ -108,7 +110,7 @@ class SupportEnumeration:
             yield from _representatives(self.n, size)
             return
         it = self._draws()
-        while block := list(itertools.islice(it, size)):
+        while block := list(itertools.islice(it, max(1, size // self.n))):
             yield np.array(block, dtype=np.int64), np.ones(len(block), dtype=np.int64)
 
 
@@ -218,6 +220,11 @@ def _exact_windows(window: Window, num_primes: int) -> list[Window]:
     return wins
 
 
+def _embeddings(window: Window, num_primes: int) -> list[tuple[np.ndarray, int]]:
+    """(system matrix with one row per column, prime) under each prime of `_exact_windows`."""
+    return [(system_matrix(w).T.copy(), w.backend.prime) for w in _exact_windows(window, num_primes)]
+
+
 def _float_witness(mats: np.ndarray) -> np.ndarray:
     """Numerical null vectors (least singular directions) of a stack of matrices.
     The SVDs run on slices of 4,096 matrices, which bounds their workspace; an
@@ -247,19 +254,22 @@ def _escalate(nonzero, primes: list[int]) -> tuple[np.ndarray, list[int]]:
     return rows, used
 
 
-def _runs_nonzero(cols: np.ndarray, p: int, sel: np.ndarray) -> np.ndarray:
-    """Nonzero verdicts mod p of the minors of `cols` on the column rows `sel`.
+def _minors_mod(cols: np.ndarray, p: int, sel: np.ndarray) -> np.ndarray:
+    """Residues mod p of the minors on the column rows `sel`; `cols` is the
+    system matrix with one row per column, reduced.
 
-    A row whose first N-1 columns equal those of the row before it extends
-    that row's run, and a run's rows share the prefix of its head: the kernel
-    eliminates each run's prefix once and replays it on every row's last
-    column.  Any order of rows is sound; the depth-first order of
-    `_representatives` makes runs long.
+    A row's first d+1 columns are a new prefix unless the row before has
+    them too.  At depth d each new prefix takes one Laplace step from its
+    parent's maximal minors.  Any order of rows is sound; the depth-first
+    order of `_representatives` makes prefixes repeat.
     """
-    head = np.ones(len(sel), dtype=bool)
-    head[1:] = (sel[1:, :-1] != sel[:-1, :-1]).any(axis=1)
-    prefixes = cols[:, sel[head, :-1]].transpose(1, 0, 2)
-    return det_prefix_mod(prefixes, p, cols[:, sel[:, -1]], np.cumsum(head) - 1) != 0
+    first = (np.diff(sel, axis=0, prepend=-1) != 0).argmax(axis=1)  # depth of a row's first new column
+    coords = np.ones((1, 1), dtype=residue_dtype(p))  # the one empty prefix
+    for d in range(sel.shape[1]):
+        new = first <= d
+        # the parent: the last prefix of d columns up to the row (index -1 at d = 0: the empty one)
+        coords = laplace_step_mod(coords[np.cumsum(first < d)[new] - 1], cols[sel[new, d]], d, p)
+    return coords[:, 0]
 
 
 def _scan_chunk_exact(chunk: tuple, embeddings) -> tuple:
@@ -267,7 +277,7 @@ def _scan_chunk_exact(chunk: tuple, embeddings) -> tuple:
     members come back as one array of column rows."""
     sel, weights = chunk
     dependent, used = _escalate(
-        lambda i, rows: _runs_nonzero(*embeddings[i], sel[rows]),
+        lambda i, rows: _minors_mod(*embeddings[i], sel[rows]) != 0,
         [p for _, p in embeddings],
     )
     return int(weights.sum()), (_orbit_members(sel[dependent], weights[dependent]),), used
@@ -352,8 +362,7 @@ def verify_glp(
     start = time.perf_counter()
     kind = window.backend.kind
     if kind == "exact":
-        embeddings = [(system_matrix(w), w.backend.prime) for w in _exact_windows(window, num_primes)]
-        scan = partial(_scan_chunk_exact, embeddings=embeddings)
+        scan = partial(_scan_chunk_exact, embeddings=_embeddings(window, num_primes))
     else:
         scan = partial(_scan_chunk_float, cols=system_matrix(window), backend=window.backend)
 
@@ -452,24 +461,19 @@ def fourier_minor_check(p: int, min_bits: int = DEFAULT_MIN_BITS) -> FourierChec
         raise ValueError("dimension must be prime")
     if p > 7:
         raise ValueError("exhaustive minor check capped at p = 7")
-    ctxs = embedding_primes(p, DEFAULT_NUM_PRIMES, min_bits)
-    # the contexts have order p, so each root is the image of ω
-    tables = [
-        np.array([[pow(c.root, j * k, c.prime) for k in range(p)] for j in range(p)])
-        for c in ctxs
-    ]
-    tested = 0
-    failures = []
-    primes_used: set[int] = set()
+    embeddings = _embeddings(ones_window_exact(p, min_bits), DEFAULT_NUM_PRIMES)
+    # columns π(0,λ)·1 = (ω^(jλ))_j, λ < p, of the all-ones window: the DFT matrix
+    tables = [c[:p].T for c, _ in embeddings]
+    tested, failures, primes_used = 0, [], set()
     for order in range(1, p + 1):
         subsets = np.array(list(itertools.combinations(range(p), order)))
         rows = np.repeat(subsets, len(subsets), axis=0)
         cols = np.tile(subsets, (len(subsets), 1))
         zero, used = _escalate(
             lambda i, sel: det_batch_nonzero_mod(
-                tables[i][rows[sel][:, :, None], cols[sel][:, None, :]], ctxs[i].prime
+                tables[i][rows[sel][:, :, None], cols[sel][:, None, :]], embeddings[i][1]
             ),
-            [c.prime for c in ctxs],
+            [q for _, q in embeddings],
         )
         tested += len(rows)
         failures.extend((tuple(map(int, rows[k])), tuple(map(int, cols[k]))) for k in zero)

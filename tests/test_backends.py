@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,12 +15,13 @@ from gaborglp.backends import (
     det_batch_nonzero_mod,
     det_float,
     det_mod,
-    det_prefix_mod,
     embed_rational_complex,
     embedding_primes,
     is_prime,
+    residue_dtype,
 )
 from gaborglp.monomials import CyclicPoly
+from gaborglp.verify import _minors_mod
 
 
 def trial_division_prime(n):
@@ -290,57 +293,80 @@ def test_batch_det_sign_of_row_swaps():
         assert det_batch_mod(flip[None], p)[0] == (-1) ** (n * (n - 1) // 2) % p
 
 
-def with_last_column(head, last):
-    return np.column_stack([head[:, :-1], last])
+WIDE_PRIME = embedding_primes(12, 1, 40)[0].prime
+
+
+def permutation_sign(perm):
+    inversions = sum(a > b for i, a in enumerate(perm) for b in perm[i + 1 :])
+    return (-1) ** inversions
+
+
+@pytest.mark.parametrize("p", [1049437, WIDE_PRIME])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_batch_det_of_every_permutation_matrix(n, p):
+    # each permutation matrix has its sign for determinant: every entry of
+    # the expansion tables, signs included, is reached with a ±1 product
+    perms = list(itertools.permutations(range(n)))
+    mats = np.eye(n, dtype=np.int64)[perms]
+    assert det_batch_mod(mats, p).tolist() == [permutation_sign(s) % p for s in perms]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_batch_det_at_the_top_of_int64(n):
+    # the largest prime whose residue products the kernel takes in int64
+    p = 2**31 - 1
+    assert is_prime(p) and residue_dtype(p) == np.int64
+    rng = np.random.default_rng(n)
+    batch = np.concatenate([np.full((1, n, n), p - 1), rng.integers(p - 64, p, size=(6, n, n))])
+    assert det_batch_mod(batch, p).tolist() == [det_mod(mat.tolist(), p) for mat in batch]
+
+
+def walk_columns(n, p, rng):
+    """Columns, one per row, for walks whose prefixes are zero, permuted or
+    rank-deficient: column 0 is zero, columns 1..n are those of the
+    anti-diagonal permutation, column n+2 repeats column n+1, column n+3 is a
+    multiple of it mod p, and the rest are random."""
+    cols = rng.integers(0, p, size=(n + 7, n))
+    cols[0] = 0
+    cols[1 : n + 1] = np.fliplr(np.eye(n, dtype=np.int64)).T
+    cols[n + 2] = cols[n + 1]
+    c = int(rng.integers(1, p))
+    cols[n + 3] = [c * int(x) % p for x in cols[n + 1]]
+    return cols
 
 
 @given(
     st.integers(1, 6),
-    st.sampled_from([2, 3, 5, 13, 1049437, embedding_primes(12, 1, 40)[0].prime]),
+    st.sampled_from([2, 3, 5, 13, 1049437, WIDE_PRIME]),
     st.integers(0, 10**6),
 )
 @settings(max_examples=80, deadline=None)
-def test_batch_det_of_tails_equals_scalar(n, p, seed):
-    # each minor's determinant is that of its prefix with its last column;
-    # p >= 2**31 (the last prime) runs the kernel on Python ints
+def test_walk_of_shared_prefixes_equals_scalar(n, p, seed):
+    # rows in lexicographic order share prefixes at every depth, and shuffled
+    # they share few; p >= 2**31 (the last prime) runs the walk on Python ints
     rng = np.random.default_rng(seed)
-    heads = rng.integers(0, p, size=(6, n, n))
-    # a zero first column: rank-deficient prefix (for n = 1, a zero head)
-    heads[0, :, 0] = 0
-    # a scaled anti-diagonal permutation: a row swap at every step
-    heads[1] = np.fliplr(np.diag(rng.integers(1, p, size=n)))
-    # a zero leading entry: the first pivot is a later row
-    heads[2, 0, 0] = 0
-    if n > 1:
-        # a singular head: its last column repeats its first
-        heads[3, :, -1] = heads[3, :, 0]
-    if n > 2:
-        # rank-deficient only mod p: the second column is a multiple of the first
-        c = int(rng.integers(1, p))
-        heads[4, :, 1] = [c * int(x) % p for x in heads[4, :, 0]]
-    gid = np.concatenate([np.arange(6), rng.integers(0, 6, size=14)])
-    rng.shuffle(gid)
-    lasts = rng.integers(0, p, size=(len(gid), n))
-    lasts[:3] = heads[gid[:3], :, -1]  # last columns equal to their heads'
-    # every head itself, then the further minors
-    gid = np.concatenate([np.arange(6), gid])
-    lasts = np.concatenate([heads[:, :, -1], lasts])
-    dets = det_prefix_mod(heads[..., :-1], p, lasts.T, gid)
-    assert dets.tolist() == [det_mod(with_last_column(heads[g], t).tolist(), p) for g, t in zip(gid, lasts)]
-    assert det_prefix_mod(heads[..., :-1], p, lasts[:0].T, gid[:0]).tolist() == []
+    cols = walk_columns(n, p, rng)
+    combos = list(itertools.combinations(range(len(cols)), n))
+    special = [tuple(range(1, n + 1)), tuple(range(n)), tuple(range(n + 1, 2 * n + 1))]
+    picks = rng.choice(len(combos), size=min(30, len(combos)), replace=False)
+    sel = np.array(sorted(set(special) | {combos[i] for i in picks}))
+    for rows in (sel, sel[rng.permutation(len(sel))]):
+        assert _minors_mod(cols, p, rows).tolist() == [det_mod(cols[r].T.tolist(), p) for r in rows]
+    assert _minors_mod(cols, p, sel[:0]).tolist() == []
 
 
-@pytest.mark.parametrize("p", [1049437, embedding_primes(12, 1, 40)[0].prime])
+@pytest.mark.parametrize("p", [1049437, WIDE_PRIME])
 @pytest.mark.parametrize("n", range(2, 7))
-def test_batch_det_of_tails_replays_swaps_and_sign(n, p):
-    # the prefix is an anti-diagonal permutation, which swaps rows at every
-    # step; the last column that repeats its first column gives a singular
+def test_walk_steps_sign_of_permutation_prefix(n, p):
+    # four rows share the first n-1 columns of the anti-diagonal
+    # permutation; the last column that repeats its first gives a singular
     # minor, and the one that completes the permutation gives ±1
     flip = np.fliplr(np.eye(n, dtype=np.int64))
-    lasts = np.stack([flip[:, 0], flip[:, -1], 2 * flip[:, -1], flip[:, 0]])
+    cols = np.concatenate([flip.T, 2 * flip[:, -1:].T])
+    head = list(range(n - 1))
+    sel = np.array([head + [0], head + [n - 1], head + [n], head + [0]])
     sign = (-1) ** (n * (n - 1) // 2)
-    dets = det_prefix_mod(flip[None, :, :-1], p, lasts.T, np.zeros(4, dtype=int))
-    assert dets.tolist() == [0, sign % p, 2 * sign % p, 0]
+    assert _minors_mod(cols, p, sel).tolist() == [0, sign % p, 2 * sign % p, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from gaborglp.backends import (
     COMPLEX_DTYPE,
     FloatBackend,
     ResidueBackend,
+    det_batch_mod,
     det_batch_nonzero_mod,
     det_mod,
     embed_rational_complex,
@@ -27,9 +28,10 @@ from gaborglp.verify import (
     DEFAULT_CHUNK,
     SupportEnumeration,
     _escalate,
+    _embeddings,
     _exact_windows,
+    _minors_mod,
     _orbit_members,
-    _runs_nonzero,
     _scan_chunk_exact,
     _scan_chunk_float,
     fourier_minor_check,
@@ -161,6 +163,16 @@ def test_sampled_enumeration_reproducible_and_distinct():
     assert la != lc
     assert len(set(la)) == 300
     assert all(len(set(s)) == 4 and list(s) == sorted(s) for s in la)
+
+
+@pytest.mark.parametrize("n, size", [(4, 1), (4, 64), (8, 100)])
+def test_sampled_blocks_are_bounded_like_exhaustive_ones(n, size):
+    # a block holds at most size // N rows (at least one), as in exhaustive
+    # mode, so that its minors hold at most size·N entries
+    enum = SupportEnumeration(n, "sampled", count=300, seed=5)
+    blocks = [rows for rows, _ in enum.chunks(size)]
+    assert all(len(rows) <= max(1, size // n) for rows in blocks)
+    assert sum(map(len, blocks)) == 300
 
 
 def test_sampled_enumeration_validation():
@@ -424,68 +436,96 @@ def test_orbit_scan_matches_full_enumeration(n, make):
     assert report.primes_used == primes_used
 
 
-def prime_embeddings(window):
-    return [(system_matrix(w), w.backend.prime) for w in _exact_windows(window, 3)]
+def scalar_minors(cols, p, sel):
+    """det_mod of each row's minor, the columns given one per row of `cols`."""
+    return [det_mod(cols[row].T.tolist(), p) for row in sel]
 
 
 @pytest.mark.parametrize(
     "make, n",
     [(power_window_root_of_unity, n) for n in (4, 5, 6)] + [(ones_window_exact, n) for n in range(2, 7)],
 )
-def test_run_verdicts_equal_full_minor_verdicts(make, n):
-    # runs of representatives that share N-1 columns get, under every
-    # escalation prime, the verdicts of the kernel on their full minors
-    embeddings = prime_embeddings(make(n))
+def test_walk_residues_equal_full_minor_residues(make, n):
+    # under every escalation prime, the walk's residue of each representative
+    # is its minor's determinant: scalar det_mod up to N = 5, and the batched
+    # kernel on the gathered minors at N = 6
+    embeddings = _embeddings(make(n), 3)
     for sel, _ in SupportEnumeration(n, "exhaustive").chunks():
         for cols, p in embeddings:
-            full = det_batch_nonzero_mod(cols[:, sel].transpose(1, 0, 2), p)
-            assert (_runs_nonzero(cols, p, sel) == full).all()
+            residues = _minors_mod(cols, p, sel)
+            if n <= 5:
+                assert residues.tolist() == scalar_minors(cols, p, sel)
+            else:
+                assert (residues == det_batch_mod(cols[sel].transpose(0, 2, 1), p)).all()
+
+
+def test_walk_residues_just_below_int64_products():
+    # primes of 2**30 or more, and below 2**31: the largest primes whose
+    # residue products the walk takes in int64
+    embeddings = _embeddings(power_window_root_of_unity(5, min_bits=30), 3)
+    assert all(2**30 <= p < 2**31 and cols.dtype == np.int64 for cols, p in embeddings)
+    for sel, _ in SupportEnumeration(5, "exhaustive").chunks():
+        for cols, p in embeddings:
+            assert _minors_mod(cols, p, sel).tolist() == scalar_minors(cols, p, sel)
+
+
+def test_wide_prime_scan_finds_every_zero_residue():
+    # the walk on Python ints, with zero residues and shared prefixes, under
+    # three primes of 2**32 or more
+    wide = verify_glp(ones_window_exact(4, min_bits=32), SupportEnumeration(4, "exhaustive"))
+    narrow = verify_glp(ones_window_exact(4), SupportEnumeration(4, "exhaustive"))
+    assert len(wide.primes_used) == 3 and all(p >= 2**32 for p in wide.primes_used)
+    assert len(wide.dependent) == 1564
+    assert [d.support for d in wide.dependent] == [d.support for d in narrow.dependent]
 
 
 @pytest.mark.parametrize("make", [power_window_root_of_unity, ones_window_exact])
-def test_run_verdicts_do_not_depend_on_row_order(make):
-    # shuffling a chunk's rows breaks its runs but changes no verdict
-    embeddings = prime_embeddings(make(5))
+def test_walk_residues_do_not_depend_on_row_order(make):
+    # shuffling a chunk's rows breaks its shared prefixes but changes no residue
+    embeddings = _embeddings(make(5), 3)
     rng = np.random.default_rng(5)
     for sel, weights in SupportEnumeration(5, "exhaustive").chunks(700):
         perm = rng.permutation(len(sel))
         for cols, p in embeddings:
-            assert (_runs_nonzero(cols, p, sel[perm]) == _runs_nonzero(cols, p, sel)[perm]).all()
+            assert (_minors_mod(cols, p, sel[perm]) == _minors_mod(cols, p, sel)[perm]).all()
         scans = [_scan_chunk_exact((sel[o], weights[o]), embeddings) for o in (slice(None), perm)]
         (tested, (members,), used), (tested2, (members2,), used2) = scans
         assert (tested, used) == (tested2, used2)
         assert sorted(map(tuple, members.tolist())) == sorted(map(tuple, members2.tolist()))
 
 
-def test_scan_eliminates_each_shared_prefix_once(monkeypatch, exact_window_5):
-    # one kernel head per run of representatives that share N-1 columns
-    heads = []
-    kernel = verify_module.det_prefix_mod
+def test_scan_steps_once_per_distinct_prefix(monkeypatch, exact_window_5):
+    # at each depth d, one Laplace step per distinct prefix of d+1 columns
+    # in a block
+    steps = {}
+    kernel = verify_module.laplace_step_mod
 
-    def counted(prefixes, p, lasts, gid):
-        heads.append((p, len(prefixes)))
-        return kernel(prefixes, p, lasts, gid)
+    def counted(coords, cols, d, p):
+        steps[p, d] = steps.get((p, d), 0) + len(cols)
+        return kernel(coords, cols, d, p)
 
-    monkeypatch.setattr(verify_module, "det_prefix_mod", counted)
+    monkeypatch.setattr(verify_module, "laplace_step_mod", counted)
     report = verify_glp(exact_window_5, SupportEnumeration(5, "exhaustive"))
-    assert report.primes_used == [heads[0][0]]
-    reps = [tuple(row[:-1]) for sel, _ in SupportEnumeration(5).chunks() for row in sel.tolist()]
-    assert sum(h for _, h in heads) == len(set(reps)) == 322
+    [p] = report.primes_used
+    blocks = [sel.tolist() for sel, _ in SupportEnumeration(5).chunks()]
+    prefixes = [sum(len({tuple(row[: d + 1]) for row in sel}) for sel in blocks) for d in range(5)]
+    assert [steps[p, d] for d in range(5)] == prefixes
+    assert prefixes[3:] == [322, 2130]
 
 
-def test_every_exact_batch_runs_on_the_prefix_kernel(monkeypatch):
-    # one batched exact elimination loop: Q(x), the Fourier check and the
-    # exact scan each reach det_prefix_mod, wherever a module holds it
+def test_every_exact_determinant_runs_on_the_laplace_step(monkeypatch):
+    # one exact kernel: Q(x), the Fourier check and the exact scan each
+    # reach laplace_step_mod, wherever a module holds it
     calls = []
-    kernel = backends.det_prefix_mod
+    kernel = backends.laplace_step_mod
 
     def counted(*args):
         calls.append(len(args[0]))
         return kernel(*args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("gaborglp") and hasattr(module, "det_prefix_mod"):
-            monkeypatch.setattr(module, "det_prefix_mod", counted)
+        if name.startswith("gaborglp") and hasattr(module, "laplace_step_mod"):
+            monkeypatch.setattr(module, "laplace_step_mod", counted)
     for run in (
         lambda: q_polynomial([(0, 0), (0, 1), (1, 0)], 3),
         lambda: fourier_minor_check(3),
