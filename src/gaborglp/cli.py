@@ -150,27 +150,25 @@ def _window_report(window: Window) -> dict:
 
 
 def _build_window(args, n: int) -> Window:
-    spec = args.window
-    backend = getattr(args, "backend", "float")
+    spec, backend = args.window, getattr(args, "backend", "float")
     fb = FloatBackend(eps=getattr(args, "eps", DEFAULT_EPS))
-    if spec.endswith(".json") or Path(spec).exists():
+    named = {
+        ("exact", "constructed"): lambda: windows.power_window_root_of_unity(n, args.prime_bits),
+        ("exact", "ones"): lambda: windows.ones_window_exact(n, args.prime_bits),
+        ("float", "constructed"): lambda: windows.power_window_root_of_unity_float(n, fb),
+        ("float", "random"): lambda: windows.random_window(n, args.window_seed, fb),
+        ("float", "ones"): lambda: windows.ones_window(n, fb),
+        ("float", "pi"): lambda: windows.power_window_generic(n, math.pi, fb),
+    }
+    if (backend, spec) in named:
+        return named[backend, spec]()
+    # a window name comes before a file of that name, which "./ones" still reaches
+    if spec not in {name for _, name in named} and (spec.endswith(".json") or Path(spec).exists()):
         window = windows.load_window(spec)
         # a float window takes its zero tolerance from --eps, not from the file
         return replace(window, backend=fb) if window.backend.kind == "float" else window
     if backend == "exact":
-        if spec == "constructed":
-            return windows.power_window_root_of_unity(n, args.prime_bits)
-        if spec == "ones":
-            return windows.ones_window_exact(n, args.prime_bits)
         raise ValueError(f"window {spec!r} is not available under the exact backend")
-    if spec == "constructed":
-        return windows.power_window_root_of_unity_float(n, fb)
-    if spec == "random":
-        return windows.random_window(n, args.window_seed, fb)
-    if spec == "ones":
-        return windows.ones_window(n, fb)
-    if spec == "pi":
-        return windows.power_window_generic(n, math.pi, fb)
     raise ValueError(f"unknown window {spec!r}")
 
 
@@ -191,7 +189,7 @@ def cmd_construct(args) -> tuple[dict, int]:
         enum = verify.SupportEnumeration(n, "exhaustive")
         vr = verify.verify_glp(window, enum, workers=args.workers)
         report["verification"] = vr.to_dict()
-        code = 0 if not vr.dependent else 1
+        code = 1 if len(vr.dependent) else 0
     if args.window_out:
         windows.save_window(window, args.window_out)
     return report, code
@@ -246,7 +244,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         "window": _window_report(window),
         "result": report_obj.to_dict(),
     }
-    return report, 0 if not report_obj.dependent else 1
+    return report, 1 if len(report_obj.dependent) else 0
 
 
 def _parse_support(text: str, n: int) -> tuple[tuple[int, int], ...]:

@@ -4,9 +4,9 @@ A window is in general linear position (GLP) when every N-element subset of
 its N² time-frequency shifts is linearly independent, i.e. every N×N minor
 of the full system matrix is nonzero.  This module enumerates supports
 (exhaustively or by seeded sampling), evaluates the minors in batches, and
-lists each dependent support in a deterministic report as a `SupportVerdict`.
-The scans return dependent members as arrays, which `verify_glp` sorts and
-converts once.
+lists each dependent support in a deterministic report.  The scans return
+dependent members as arrays, which `verify_glp` sorts and the report keeps;
+`to_dict` and `write_witness_csv` write them out in bulk.
 
 Exhaustive mode checks one support per translation orbit.  As π(a,b)·π(κ,λ)
 = ω^c·π(κ+a, λ+b), the matrix of Λ+(a,b) is π(a,b) times the matrix of Λ
@@ -36,7 +36,7 @@ import math
 import random
 import time
 from contextlib import nullcontext, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 
@@ -52,7 +52,7 @@ from .backends import (
     laplace_step_mod,
     residue_dtype,
 )
-from .operators import TimeFreqIndex, Window, system_matrix
+from .operators import Window, system_matrix
 from .windows import ones_window_exact
 
 DEFAULT_CHUNK = 65_536
@@ -181,33 +181,9 @@ def _orbit_members(reps: np.ndarray, weights: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SupportVerdict:
-    """The record of one dependent support that `verify_glp` reports: zero
-    residues under every prime used (exact), or the determinant modulus and
-    a numerical null vector (float); `to_dict` writes it as a report entry."""
-
-    support: tuple[TimeFreqIndex, ...]
-    residues: dict[int, int] | None = None  # exact backend: prime -> det residue
-    det_modulus: float | None = None  # float backend
-    witness: np.ndarray | None = field(default=None, repr=False)
-
-    def to_dict(self) -> dict:
-        out: dict = {"support": [list(idx) for idx in self.support]}
-        if self.residues is not None:
-            out["residues"] = {str(p): r for p, r in self.residues.items()}
-        if self.det_modulus is not None:
-            out["det_modulus"] = self.det_modulus
-        if self.witness is not None:
-            out["witness"] = [[float(z.real), float(z.imag)] for z in self.witness]
-        return out
-
-
 def _exact_windows(window: Window, num_primes: int) -> list[Window]:
     """The window re-embedded under the smallest usable primes, `num_primes`
     in all; a prime under which it has no nonzero image is passed over."""
-    if num_primes < 1:
-        raise ValueError(f"the number of primes must be at least 1, got {num_primes}")
     ctx = window.backend.context
     wins, count = [window], 1
     while len(wins) < num_primes:
@@ -286,7 +262,9 @@ def _scan_chunk_exact(chunk: tuple, embeddings) -> tuple:
 def _scan_chunk_float(chunk: tuple, cols: np.ndarray, backend) -> tuple:
     """Scan every member of a (supports, weights) chunk (float moduli are not
     orbit invariant); the dependent members come back as arrays of their
-    column rows, determinants and witnesses, empty ones for an empty chunk."""
+    column rows, determinant moduli and witnesses, empty ones for an empty
+    chunk.  A modulus is |d| of the complex128 rounding of d: a long-double
+    abs rounds the last bit differently."""
     sel, weights = chunk
     members = _orbit_members(sel, weights)
     found = []
@@ -294,7 +272,8 @@ def _scan_chunk_float(chunk: tuple, cols: np.ndarray, backend) -> tuple:
         mats = cols[:, members[start : start + DEFAULT_CHUNK]].transpose(1, 0, 2)
         dets = det_batch_float(mats)
         rows = np.flatnonzero(backend.is_zero(dets, np.abs(mats).max(axis=(1, 2))))
-        found.append((members[start + rows], dets[rows], _float_witness(mats[rows])))
+        moduli = np.abs(dets[rows].astype(np.complex128))
+        found.append((members[start + rows], moduli, _float_witness(mats[rows])))
     return int(weights.sum()), tuple(map(np.concatenate, zip(*found))), []
 
 
@@ -305,12 +284,19 @@ def _scan_chunk_float(chunk: tuple, cols: np.ndarray, backend) -> tuple:
 
 @dataclass
 class VerificationReport:
+    """The result of `verify_glp`.  `dependent` holds the sorted column rows
+    (D, N) of the dependent supports; each is zero under every prime in
+    `primes_used` (exact), or has the modulus `det_modulus[i]` and the null
+    vector `witness[i]` (float; both None under the exact backend)."""
+
     n: int
     backend: str
     window_kind: str
     mode: str
     supports_tested: int
-    dependent: list[SupportVerdict]
+    dependent: np.ndarray
+    det_modulus: np.ndarray | None
+    witness: np.ndarray | None
     primes_used: list[int]
     elapsed_seconds: float
     sample_count: int | None = None
@@ -318,9 +304,22 @@ class VerificationReport:
 
     @property
     def verdict(self) -> str:
-        if self.dependent:
+        if len(self.dependent):
             return "dependent-found"
         return "glp-certified" if self.mode == "exhaustive" else "glp-on-sample"
+
+    def _entries(self) -> list[dict]:
+        """One `dependent_supports` entry per row; exact entries share one
+        `residues` dict."""
+        supports = np.stack(np.divmod(self.dependent, self.n), -1).tolist()
+        if self.backend == "exact":
+            residues = dict.fromkeys(map(str, self.primes_used), 0)
+            return [{"support": s, "residues": residues} for s in supports]
+        witnesses = np.stack([self.witness.real, self.witness.imag], -1).tolist()
+        return [
+            {"support": s, "det_modulus": m, "witness": w}
+            for s, m, w in zip(supports, self.det_modulus.tolist(), witnesses)
+        ]
 
     def to_dict(self) -> dict:
         out = {
@@ -330,7 +329,7 @@ class VerificationReport:
             "mode": self.mode,
             "supports_tested": self.supports_tested,
             "dependent": len(self.dependent),
-            "dependent_supports": [d.to_dict() for d in self.dependent],
+            "dependent_supports": self._entries(),
             "primes_used": self.primes_used,
             "verdict": self.verdict,
         }
@@ -357,8 +356,9 @@ def verify_glp(
     n = window.n
     if enumeration.n != n:
         raise ValueError("enumeration dimension does not match the window")
-    if workers < 1:
-        raise ValueError(f"the number of workers must be at least 1, got {workers}")
+    for name, value in (("workers", workers), ("primes", num_primes)):
+        if value < 1:
+            raise ValueError(f"the number of {name} must be at least 1, got {value}")
     start = time.perf_counter()
     kind = window.backend.kind
     if kind == "exact":
@@ -383,19 +383,7 @@ def verify_glp(
 
     cols, *data = map(np.concatenate, zip(*found))
     order = np.lexsort(cols.T[::-1])
-    supports = [tuple(map(tuple, s)) for s in np.stack(np.divmod(cols[order], n), -1).tolist()]
-    used = sorted(primes_used)
-    if kind == "exact":
-        # a dependent row is zero under every prime
-        dependent = [SupportVerdict(s, dict.fromkeys(used, 0)) for s in supports]
-    else:
-        # |d| of the complex128 rounding of d: a long-double abs rounds the last bit differently
-        moduli = np.abs(data[0][order].astype(np.complex128)).tolist()
-        dependent = [
-            SupportVerdict(s, det_modulus=m, witness=w)
-            for s, m, w in zip(supports, moduli, data[1][order])
-        ]
-
+    moduli, witnesses = (d[order] for d in data) if data else (None, None)
     elapsed = time.perf_counter() - start
     return VerificationReport(
         n=n,
@@ -403,8 +391,10 @@ def verify_glp(
         window_kind=window.kind,
         mode=enumeration.mode,
         supports_tested=tested,
-        dependent=dependent,
-        primes_used=used,
+        dependent=cols[order],
+        det_modulus=moduli,
+        witness=witnesses,
+        primes_used=sorted(primes_used),
         elapsed_seconds=elapsed,
         sample_count=enumeration.count if enumeration.mode == "sampled" else None,
         sample_seed=enumeration.seed if enumeration.mode == "sampled" else None,
@@ -412,17 +402,18 @@ def verify_glp(
 
 
 def write_witness_csv(report: VerificationReport, path) -> None:
-    """One CSV row per dependent support: n, support, backend, determinant data."""
+    """One CSV row per dependent support: n, support, backend, and the zero
+    residue under each prime (exact) or the determinant modulus (float)."""
+    cells = np.stack(np.divmod(report.dependent, report.n), -1).tolist()
+    supports = [";".join(f"{k},{l}" for k, l in s) for s in cells]
+    if report.backend == "exact":
+        dets = itertools.repeat("|".join(f"{p}:0" for p in report.primes_used))
+    else:
+        dets = map(repr, report.det_modulus.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "support", "backend", "determinant"])
-        for dep in report.dependent:
-            support = ";".join(f"{k},{l}" for k, l in dep.support)
-            if dep.residues is not None:
-                det = "|".join(f"{p}:{r}" for p, r in sorted(dep.residues.items()))
-            else:
-                det = repr(dep.det_modulus)
-            writer.writerow([report.n, support, report.backend, det])
+        writer.writerows((report.n, s, report.backend, d) for s, d in zip(supports, dets))
 
 
 # ---------------------------------------------------------------------------

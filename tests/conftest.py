@@ -41,7 +41,7 @@ def glp_random_windows():
     for n in (2, 3):
         for seed in range(10):
             w = random_window(n, seed)
-            if not verify_glp(w, SupportEnumeration(n, "exhaustive")).dependent:
+            if not len(verify_glp(w, SupportEnumeration(n, "exhaustive")).dependent):
                 out[n] = w
                 break
         else:  # pragma: no cover - measure-zero failure of all seeds

@@ -12,14 +12,15 @@ import numpy as np
 from gaborglp.backends import DEFAULT_NUM_PRIMES, det_float, det_mod
 from gaborglp.codec import OperatorCoefficients
 from gaborglp.operators import Window, gabor_matrix, support_cells, tf_shift
-from gaborglp.verify import SupportVerdict, _exact_windows
+from gaborglp.verify import _exact_windows
 
 
 def check_support(
     window: Window, support, num_primes: int = DEFAULT_NUM_PRIMES
-) -> tuple[bool, SupportVerdict]:
-    """(independent, record) for one support, in any order of its cells; the
-    record is the one `verify_glp` lists when the support is dependent.
+) -> tuple[bool, dict]:
+    """(independent, entry) for one support, in any order of its cells; the
+    entry is the one `verify_glp` lists in `dependent_supports` when the
+    support is dependent.
 
     Exact: `det_mod` of the Gabor matrix under each escalation prime of
     `_exact_windows`, stopping at the first nonzero residue.  Float:
@@ -27,20 +28,23 @@ def check_support(
     vector as the witness of a zero minor.
     """
     support = tuple(sorted(support_cells(support, window.n, window.n)))
+    entry: dict = {"support": [list(idx) for idx in support]}
     if window.backend.kind == "exact":
-        residues: dict[int, int] = {}
+        entry["residues"] = {}
         for w in _exact_windows(window, num_primes):
-            residues[w.backend.prime] = det_mod(gabor_matrix(w, support).tolist(), w.backend.prime)
-            if residues[w.backend.prime]:
-                return True, SupportVerdict(support, residues)
-        return False, SupportVerdict(support, residues)
+            residue = det_mod(gabor_matrix(w, support).tolist(), w.backend.prime)
+            entry["residues"][str(w.backend.prime)] = residue
+            if residue:
+                return True, entry
+        return False, entry
     mat = gabor_matrix(window, support)
     det = det_float(mat)
-    modulus = float(abs(complex(det)))
+    entry["det_modulus"] = float(abs(complex(det)))
     if window.backend.is_zero(det, np.abs(mat).max()):
         witness = np.conj(np.linalg.svd(mat.astype(np.complex128))[2][-1])
-        return False, SupportVerdict(support, det_modulus=modulus, witness=witness)
-    return True, SupportVerdict(support, det_modulus=modulus)
+        entry["witness"] = [[float(z.real), float(z.imag)] for z in witness]
+        return False, entry
+    return True, entry
 
 
 def apply_operator(coeffs: OperatorCoefficients, x: np.ndarray, window: Window) -> np.ndarray:

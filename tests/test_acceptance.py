@@ -60,7 +60,7 @@ def test_criterion_01_constructed_window_n4(exact_window_4):
     report = verify_glp(exact_window_4, SupportEnumeration(4, "exhaustive"), workers=1)
     ok = (
         report.supports_tested == 1820
-        and not report.dependent
+        and not len(report.dependent)
         and report.elapsed_seconds <= 10.0
     )
     gate(
@@ -75,7 +75,7 @@ def test_criterion_02_constructed_window_n5(exact_window_5):
     report = verify_glp(exact_window_5, SupportEnumeration(5, "exhaustive"), workers=1)
     ok = (
         report.supports_tested == 53_130
-        and not report.dependent
+        and not len(report.dependent)
         and report.elapsed_seconds <= 60.0
     )
     gate(
@@ -91,7 +91,7 @@ def test_criterion_03_constructed_window_n6():
     report = verify_glp(window, SupportEnumeration(6, "exhaustive"), workers=WORKERS)
     ok = (
         report.supports_tested == 1_947_792
-        and not report.dependent
+        and not len(report.dependent)
         and report.elapsed_seconds <= 1800.0
     )
     gate(
@@ -109,7 +109,7 @@ def test_criterion_04_sampled_n7_n8(n, seed):
     report = verify_glp(window, enum, workers=WORKERS)
     ok = (
         report.supports_tested == 100_000
-        and not report.dependent
+        and not len(report.dependent)
         and report.elapsed_seconds <= 300.0
     )
     gate(
@@ -280,7 +280,7 @@ def test_criterion_12_random_windows_full_measure():
     for seed in range(50):
         w = random_window(4, seed=42000 + seed)
         report = verify_glp(w, SupportEnumeration(4, "exhaustive"))
-        if report.dependent:
+        if len(report.dependent):
             failures.append(seed)
     gate(
         "criterion 12 (50 Gaussian windows at N=4 pass float GLP)",

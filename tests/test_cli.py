@@ -134,6 +134,8 @@ def test_exhaustive_budget_counts_the_rows_the_scan_tests(monkeypatch, capsys):
         ["analyze", "--n", "4", "--support", "(0,0);(1,1);(2,2);(3,3)", "--class-budget", "2"],
         ["verify", "--n", "4", "--window", "ones", "--primes", "0"],
         ["verify", "--n", "4", "--window", "ones", "--primes", "-2"],
+        ["verify", "--n", "3", "--backend", "float", "--window", "random", "--primes", "0"],
+        ["verify", "--n", "3", "--backend", "float", "--window", "random", "--primes", "-5"],
         ["verify", "--n", "2", "--window", "{malformed}"],
         ["verify", "--n", "4", "--backend", "float", "--window", "nosuch"],
         ["verify", "--n", "4", "--mode", "sampled", "--seed", "3"],
@@ -169,6 +171,17 @@ def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+
+def test_window_names_come_before_files_of_that_name(tmp_path, monkeypatch):
+    # a file named like a window kind does not shadow the kind; "./ones" reaches it
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ones").write_text("not a window")
+    code, text = run(tmp_path, "verify", "--n", "2", "--window", "ones", "--backend", "float")
+    assert code == 1 and json.loads(text)["result"]["dependent"] == 2  # the all-ones window
+    windows.save_window(windows.random_window(2, 0), tmp_path / "ones")
+    code, text = run(tmp_path, "verify", "--n", "2", "--window", "./ones", "--backend", "float")
+    assert code == 0 and json.loads(text)["window"]["kind"] == "random"
 
 
 def test_loaded_float_window_honours_eps(tmp_path):

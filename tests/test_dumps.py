@@ -96,6 +96,9 @@ def record_lists(draw):
     return draw(st.sampled_from([rows, tuple(rows)]))
 
 
+# exact report entries share one residues dict
+SHARED = {"7": 0, "11": 0}
+
 PAYLOADS = st.recursive(
     SCALARS | record_lists(),
     lambda inner: (
@@ -119,5 +122,6 @@ PAYLOADS = st.recursive(
 @example([[1.0, math.nan], [2.0, 3.0]])
 @example([[np.float64(0.1)], [np.float64(0.2)]])
 @example({"x": [[], []], "y": [{}, {}], "z": [[[]], [[]]]})
+@example([{"s": [1], "r": SHARED}, {"s": [2], "r": SHARED}])
 def test_dumps_matches_json(payload):
     assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)

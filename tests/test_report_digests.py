@@ -8,9 +8,13 @@ reports drop `det_modulus` and `witness`, and `analyze` drops each
 `float_modulus`, which are platform round-off.  The
 digest is taken of the re-dumped report, so each case also checks that the
 written bytes are `json.dumps(report, indent=2, sort_keys=True)` and a newline.
+The witness CSVs of `verify --witness-csv` are pinned the same way; a float
+CSV drops its determinant column, which is platform round-off.
 """
 
+import csv
 import hashlib
+import io
 import json
 
 import pytest
@@ -62,3 +66,30 @@ def test_report_digest(argv, code, digest, tmp_path):
         del record["ci_coefficient"]["float_modulus"]
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+CSV_CASES = [
+    (
+        "verify --n 4 --window ones",
+        "7ddcf0e32d5d9aa3bc7c180d7b54334d07fb0d99aa822fa56dedb707af624432",
+    ),
+    (
+        "verify --n 3 --window ones --backend float",
+        "2da3b2cfaa247718ebbcfb723d633eb24424682f2cff88706ba340c6c63f8829",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", CSV_CASES, ids=[c[0] for c in CSV_CASES])
+def test_witness_csv_digest(argv, digest, tmp_path):
+    # every byte, with the "\r\n" row ends of `csv.writer`
+    path = tmp_path / "witnesses.csv"
+    args = [*argv.split(), "--output", str(tmp_path / "report.json"), "--witness-csv", str(path)]
+    assert main(args) == 1
+    raw = path.read_bytes().decode()
+    if "--backend float" in argv:
+        rows = list(csv.reader(io.StringIO(raw)))
+        buf = io.StringIO()
+        csv.writer(buf).writerows(row[:3] for row in rows)
+        raw = buf.getvalue()
+    assert hashlib.sha256(raw.encode()).hexdigest() == digest

@@ -3,6 +3,7 @@ import itertools
 import math
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -60,6 +61,11 @@ def cwin(*entries):
 
 def columns_to_support(cols, n):
     return tuple((int(c) // n, int(c) % n) for c in cols)
+
+
+def dependent_supports(report):
+    """The report's dependent supports, as tuples of (κ, λ) cells."""
+    return [columns_to_support(cols, report.n) for cols in report.dependent]
 
 
 def translates(support, n):
@@ -192,24 +198,24 @@ def test_sampled_enumeration_validation():
 
 
 def test_check_support_equal_columns_dependent():
-    independent, verdict = check_support(cwin(1, 1), [(0, 0), (1, 0)])
+    independent, entry = check_support(cwin(1, 1), [(0, 0), (1, 0)])
     assert not independent
-    assert verdict.witness is not None
+    assert "witness" in entry
 
 
 def test_check_support_independent_example():
     # det [[1,2],[2,-1]] = -5
-    independent, verdict = check_support(cwin(1, 2), [(0, 0), (1, 1)])
+    independent, entry = check_support(cwin(1, 2), [(0, 0), (1, 1)])
     assert independent
-    assert abs(verdict.det_modulus - 5.0) < 1e-12
+    assert abs(entry["det_modulus"] - 5.0) < 1e-12
 
 
 def test_check_support_complex_dependent_example():
     # w = (1, i): det = 1·(-1) - i·i = 0
-    independent, verdict = check_support(cwin(1, 1j), [(0, 0), (1, 1)])
+    independent, entry = check_support(cwin(1, 1j), [(0, 0), (1, 1)])
     assert not independent
-    mat = gabor_matrix(cwin(1, 1j), verdict.support).astype(np.complex128)
-    wit = verdict.witness
+    mat = gabor_matrix(cwin(1, 1j), entry["support"]).astype(np.complex128)
+    wit = np.array(entry["witness"]) @ [1, 1j]
     residual = np.abs(mat @ wit).max()
     assert residual <= 1e-8 * np.abs(mat).max() * np.abs(wit).max() * 2
 
@@ -225,14 +231,12 @@ def test_check_support_permutation_invariance():
 
 def test_check_support_exact_escalation():
     w = ones_window_exact(2)
-    independent, verdict = check_support(w, [(0, 0), (1, 0)])
+    independent, entry = check_support(w, [(0, 0), (1, 0)])
     assert not independent
-    assert len(verdict.residues) == 3  # three primes agree on zero
-    assert all(r == 0 for r in verdict.residues.values())
+    assert len(entry["residues"]) == 3  # three primes agree on zero
+    assert all(r == 0 for r in entry["residues"].values())
     independent, _ = check_support(w, [(0, 0), (0, 1)])
     assert independent
-    with pytest.raises(ValueError):  # escalation over no prime is refused
-        check_support(w, [(0, 0), (1, 0)], num_primes=0)
 
 
 def test_check_support_validation():
@@ -258,31 +262,46 @@ def test_verify_glp_n2_independent_window():
     assert np.allclose(dets, [-4, -3, -5, 5, 3, -4])
     report = verify_glp(w, SupportEnumeration(2, "exhaustive"))
     assert report.supports_tested == 6
-    assert not report.dependent
+    assert not len(report.dependent)
     assert report.verdict == "glp-certified"
 
 
 def test_verify_glp_n2_ones_window():
     report = verify_glp(ones_window(2), SupportEnumeration(2, "exhaustive"))
     assert len(report.dependent) >= 1
-    assert ((0, 0), (1, 0)) in [d.support for d in report.dependent]
+    assert ((0, 0), (1, 0)) in dependent_supports(report)
     assert report.verdict == "dependent-found"
 
 
 def test_verify_glp_constructed_n4(exact_window_4):
     report = verify_glp(exact_window_4, SupportEnumeration(4, "exhaustive"))
     assert report.supports_tested == 1820
-    assert not report.dependent
+    assert not len(report.dependent)
     assert report.primes_used == [exact_window_4.backend.prime]
 
 
 def test_verify_glp_exact_dependent_reports_primes():
     report = verify_glp(ones_window_exact(2), SupportEnumeration(2, "exhaustive"))
-    assert report.dependent
-    for dep in report.dependent:
-        assert len(dep.residues) == 3
-        assert all(r == 0 for r in dep.residues.values())
+    assert len(report.dependent)
+    for dep in report.to_dict()["dependent_supports"]:
+        assert len(dep["residues"]) == 3
+        assert all(r == 0 for r in dep["residues"].values())
     assert len(report.primes_used) == 3
+
+
+def test_report_holds_the_scan_arrays():
+    # the 50,005 dependent supports of exact ones at N = 5 stay one (D, N)
+    # int64 array, about 2 MB, not a Python record per support
+    tracemalloc.start()
+    try:
+        report = verify_glp(ones_window_exact(5), SupportEnumeration(5, "exhaustive"))
+        held = tracemalloc.get_traced_memory()[0]
+        assert report.dependent.shape == (50_005, 5)
+        del report
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * 2**20
 
 
 def test_verify_glp_worker_count_invariance(exact_window_4, exact_window_5):
@@ -305,7 +324,7 @@ def test_verify_glp_worker_count_invariance_with_dependent_orbits():
     enum = SupportEnumeration(4, "exhaustive")
     r1 = verify_glp(ones_window_exact(4), enum, workers=1, chunk_size=50)
     r2 = verify_glp(ones_window_exact(4), enum, workers=2, chunk_size=50)
-    assert r1.dependent and r1.to_dict() == r2.to_dict()
+    assert len(r1.dependent) and r1.to_dict() == r2.to_dict()
 
 
 def test_verify_glp_float_worker_count_invariance():
@@ -318,9 +337,9 @@ def test_verify_glp_float_worker_count_invariance():
 
 def test_verify_glp_monotone_sampled_after_exhaustive(exact_window_4):
     full = verify_glp(exact_window_4, SupportEnumeration(4, "exhaustive"))
-    assert not full.dependent
+    assert not len(full.dependent)
     sampled = verify_glp(exact_window_4, SupportEnumeration(4, "sampled", count=250, seed=11))
-    assert not sampled.dependent
+    assert not len(sampled.dependent)
     assert sampled.verdict == "glp-on-sample"
     assert sampled.supports_tested == 250
 
@@ -349,15 +368,18 @@ def test_verify_glp_refuses_a_scan_that_misses_supports(monkeypatch, exact_windo
 
 def assert_matches_scalar_reference(window):
     """verify_glp's batched escalation agrees with the scalar oracle: its
-    dependent records equal the dependent verdicts, record for record and in order."""
+    `dependent_supports` equal the oracle's entries for the dependent
+    supports, entry for entry and in order."""
     n = window.n
     report = verify_glp(window, SupportEnumeration(n, "exhaustive"))
     verdicts = [
         check_support(window, columns_to_support(cols, n))
         for cols in itertools.combinations(range(n * n), n)
     ]
-    assert report.dependent == [v for independent, v in verdicts if not independent]
-    assert report.primes_used == sorted(set().union(*(v.residues for _, v in verdicts)))
+    expected = [entry for independent, entry in verdicts if not independent]
+    assert report.to_dict()["dependent_supports"] == expected
+    primes = set().union(*(map(int, entry["residues"]) for _, entry in verdicts))
+    assert report.primes_used == sorted(primes)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -403,10 +425,11 @@ def test_escalation_passes_over_primes_without_an_image(rationals):
     # the window is a multiple of (1, i), so these two minors vanish over C
     report = verify_glp(window, SupportEnumeration(2, "exhaustive"))
     dependent = [((0, 0), (1, 1)), ((0, 1), (1, 0))]
-    assert [d.support for d in report.dependent] == dependent
-    assert all(d.residues == {17: 0, 37: 0, 41: 0} for d in report.dependent)
+    assert dependent_supports(report) == dependent
+    residues = {"17": 0, "37": 0, "41": 0}
+    assert all(d["residues"] == residues for d in report.to_dict()["dependent_supports"])
     assert report.primes_used == [17, 37, 41]
-    assert check_support(window, dependent[0])[1].residues == {17: 0, 37: 0, 41: 0}
+    assert check_support(window, dependent[0])[1]["residues"] == residues
 
 
 def full_enumeration_oracle(window):
@@ -431,8 +454,9 @@ def test_orbit_scan_matches_full_enumeration(n, make):
     report = verify_glp(window, SupportEnumeration(n, "exhaustive"), chunk_size=500)
     dependent, primes_used = full_enumeration_oracle(window)
     assert report.supports_tested == math.comb(n * n, n)
-    assert [d.support for d in report.dependent] == dependent
-    assert all(d.residues == dict.fromkeys(primes_used, 0) for d in report.dependent)
+    assert dependent_supports(report) == dependent
+    residues = dict.fromkeys(map(str, primes_used), 0)
+    assert all(d["residues"] == residues for d in report.to_dict()["dependent_supports"])
     assert report.primes_used == primes_used
 
 
@@ -476,7 +500,7 @@ def test_wide_prime_scan_finds_every_zero_residue():
     narrow = verify_glp(ones_window_exact(4), SupportEnumeration(4, "exhaustive"))
     assert len(wide.primes_used) == 3 and all(p >= 2**32 for p in wide.primes_used)
     assert len(wide.dependent) == 1564
-    assert [d.support for d in wide.dependent] == [d.support for d in narrow.dependent]
+    assert np.array_equal(wide.dependent, narrow.dependent)
 
 
 @pytest.mark.parametrize("make", [power_window_root_of_unity, ones_window_exact])
@@ -544,11 +568,17 @@ def test_float_scan_tests_every_orbit_member(n):
     report = verify_glp(window, SupportEnumeration(n, "exhaustive"), chunk_size=7)
     expected = []
     for cols in itertools.combinations(range(n * n), n):
-        independent, verdict = check_support(window, columns_to_support(cols, n))
+        independent, entry = check_support(window, columns_to_support(cols, n))
         if not independent:
-            expected.append((verdict.support, verdict.det_modulus, verdict.witness.tobytes()))
+            witness = np.array(entry["witness"]).tobytes()  # [re, im] pairs: complex128 bytes
+            expected.append((cols, np.float64(entry["det_modulus"]).tobytes(), witness))
     assert report.supports_tested == math.comb(n * n, n)
-    got = [(d.support, d.det_modulus, d.witness.tobytes()) for d in report.dependent]
+    got = [
+        (tuple(cols), modulus.tobytes(), witness.tobytes())
+        for cols, modulus, witness in zip(
+            report.dependent.tolist(), report.det_modulus, report.witness
+        )
+    ]
     assert got == expected
 
 
@@ -581,10 +611,10 @@ def test_minor_vanishes_alike_on_a_translation_orbit(case, min_bits):
 def test_float_zero_rule_is_strict_in_the_batch_scan():
     # the minor diag(1, eps) sits exactly at the threshold and counts as nonzero
     cols = np.array([[1, 0], [0, FB.eps]], dtype=COMPLEX_DTYPE)
-    tested, (rows, dets, witnesses), _ = _scan_chunk_float(
+    tested, (rows, moduli, witnesses), _ = _scan_chunk_float(
         (np.array([[0, 1]]), np.ones(1, int)), cols, FB
     )
-    assert tested == 1 and rows.shape == (0, 2) and len(dets) == len(witnesses) == 0
+    assert tested == 1 and rows.shape == (0, 2) and len(moduli) == len(witnesses) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -634,10 +664,9 @@ def test_backend_agreement_on_rational_windows():
 def test_float_witness_validity():
     w = ones_window(3)  # translates coincide, so many supports are dependent
     report = verify_glp(w, SupportEnumeration(3, "exhaustive"))
-    assert report.dependent
-    for dep in report.dependent:
-        mat = gabor_matrix(w, dep.support).astype(np.complex128)
-        wit = np.array(dep.witness)
+    assert len(report.dependent)
+    for support, wit in zip(dependent_supports(report), report.witness):
+        mat = gabor_matrix(w, support).astype(np.complex128)
         assert np.linalg.norm(wit) > 0.5  # unit-ish singular vector
         residual = np.linalg.norm(mat @ wit)
         assert residual <= 1e-8 * np.linalg.norm(mat) * np.linalg.norm(wit)
@@ -702,7 +731,7 @@ def test_full_verification_against_independent_construction(float_window_4):
         return [cmath.exp(2j * cmath.pi * j * lam / n) * w[(j - kappa) % n] for j in range(n)]
 
     report = verify_glp(float_window_4, SupportEnumeration(n, "exhaustive"))
-    assert not report.dependent
+    assert not len(report.dependent)
     for cols in itertools.combinations(range(n * n), n):
         mat = np.array([column(c // n, c % n) for c in cols]).T
         det = np.linalg.det(mat)
@@ -719,4 +748,4 @@ def test_verify_glp_with_wide_prime():
     assert w.backend.prime >= 1 << 32
     report = verify_glp(w, SupportEnumeration(4, "sampled", count=40, seed=2), num_primes=1)
     assert report.supports_tested == 40
-    assert not report.dependent
+    assert not len(report.dependent)

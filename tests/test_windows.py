@@ -80,7 +80,7 @@ def test_exact_float_consistency(n, exact_window_4, exact_window_5, float_window
     enum = SupportEnumeration(n, "exhaustive")
     r_exact = verify_glp(exact, enum)
     r_float = verify_glp(flt, enum)
-    assert not r_exact.dependent and not r_float.dependent
+    assert not len(r_exact.dependent) and not len(r_float.dependent)
     assert r_exact.supports_tested == r_float.supports_tested == math.comb(n * n, n)
 
 
@@ -96,7 +96,7 @@ def test_generic_power_window():
 def test_pi_window_passes_float_glp():
     w = power_window_generic(4, math.pi)
     report = verify_glp(w, SupportEnumeration(4, "exhaustive"))
-    assert not report.dependent
+    assert not len(report.dependent)
 
 
 def test_random_window_determinism():
@@ -111,7 +111,7 @@ def test_random_window_determinism():
 def test_random_window_n1_trivially_glp():
     w = random_window(1, 0)
     report = verify_glp(w, SupportEnumeration(1, "exhaustive"))
-    assert report.supports_tested == 1 and not report.dependent
+    assert report.supports_tested == 1 and not len(report.dependent)
 
 
 def test_serialization_roundtrip_exact(tmp_path, exact_window_4):
