@@ -12,9 +12,9 @@ determinant is zero.  Two interchangeable backends answer that question:
   Exact determinants come from one kernel, `laplace_step_mod`, which appends
   a column to the maximal minors of each matrix's first d columns by Laplace
   expansion, with no pivot, division or sign bookkeeping.  `det_batch_mod`
-  (Q(x), and the zero test `det_batch_nonzero_mod`) takes n steps a matrix;
-  the verify scan takes one step per distinct column prefix, so minors that
-  share a prefix share its work.  `residue_dtype` decides the width.
+  serves Q(x) only and takes n steps a matrix; the verify scan and the DFT
+  check take one step per distinct column prefix, so minors that share a
+  prefix share its work.  `residue_dtype` decides the width.
 
 * float: extended-precision complex arithmetic (80-bit long double where the
   platform provides it, i.e. a 64-bit mantissa) with an explicit relative
@@ -25,9 +25,9 @@ determinant is zero.  Two interchangeable backends answer that question:
   `det_batch_float`.
 
 The package itself calls neither scalar determinant, `det_mod` nor
-`det_float`.  Both stay: the tests take `det_mod` as the independent
-reference for the batched kernels and both as their scalar verdict oracle,
-and the benchmark's tracer (`perfbench/tracer.py`) looks both up by name.
+`det_float`, nor the zero test `det_batch_nonzero_mod`.  All three stay: the
+tests take them as reference kernels and verdict oracles, and the benchmark's
+tracer (`perfbench/tracer.py`) looks each one up by name.
 """
 
 from __future__ import annotations
@@ -282,6 +282,7 @@ def det_batch_mod(mats: np.ndarray, p: int) -> np.ndarray:
     return coords[:, 0]
 
 
+# no caller in the package: the tests' full-minor oracle, and a traced benchmark target
 def det_batch_nonzero_mod(mats: np.ndarray, p: int) -> np.ndarray:
     """Zero/nonzero verdicts for a stack of matrices mod p (any prime)."""
     return det_batch_mod(mats, p) != 0

@@ -3,10 +3,10 @@
 A window is in general linear position (GLP) when every N-element subset of
 its N² time-frequency shifts is linearly independent, i.e. every N×N minor
 of the full system matrix is nonzero.  This module enumerates supports
-(exhaustively or by seeded sampling), evaluates the minors in batches, and
-lists each dependent support in a deterministic report.  The scans return
-dependent members as arrays, which `verify_glp` sorts and the report keeps;
-`to_dict` and `write_witness_csv` write them out in bulk.
+(exhaustively or by seeded sampling, both in `combinations` order), evaluates
+the minors in batches, and lists each dependent support in a deterministic
+report.  The scans return dependent members as arrays, which `verify_glp` sorts
+and the report keeps; `to_dict` and `write_witness_csv` write them out in bulk.
 
 Exhaustive mode checks one support per translation orbit.  As π(a,b)·π(κ,λ)
 = ω^c·π(κ+a, λ+b), the matrix of Λ+(a,b) is π(a,b) times the matrix of Λ
@@ -46,7 +46,6 @@ from .backends import (
     DEFAULT_MIN_BITS,
     DEFAULT_NUM_PRIMES,
     det_batch_float,
-    det_batch_nonzero_mod,
     embedding_primes,
     is_prime,
     laplace_step_mod,
@@ -64,8 +63,8 @@ class SupportEnumeration:
 
     Columns are numbered 0..N²-1 in lexicographic (κ,λ) order.  Exhaustive
     mode covers all C(N², N) supports by one representative per translation
-    orbit (see `_representatives`); sampled mode draws `count` distinct
-    supports reproducibly from `seed`.
+    orbit (see `_representatives`); sampled mode unranks `count` distinct
+    ranks drawn from `seed`.  Both yield rows in `itertools.combinations` order.
     """
 
     n: int
@@ -89,16 +88,6 @@ class SupportEnumeration:
     def total(self) -> int:
         return math.comb(self.n * self.n, self.n) if self.mode == "exhaustive" else int(self.count)
 
-    def _draws(self):
-        rng = random.Random(self.seed)
-        seen: set[tuple[int, ...]] = set()
-        cols = range(self.n * self.n)
-        while len(seen) < self.count:
-            s = tuple(sorted(rng.sample(cols, self.n)))
-            if s not in seen:
-                seen.add(s)
-                yield s
-
     def chunks(self, size: int = DEFAULT_CHUNK):
         """Blocks of at most max(1, `size` // N) rows, as (supports, weights) arrays.
 
@@ -109,9 +98,27 @@ class SupportEnumeration:
         if self.mode == "exhaustive":
             yield from _representatives(self.n, size)
             return
-        it = self._draws()
-        while block := list(itertools.islice(it, max(1, size // self.n))):
-            yield np.array(block, dtype=np.int64), np.ones(len(block), dtype=np.int64)
+        total, step = math.comb(self.n * self.n, self.n), max(1, size // self.n)
+        rng, ranks = random.Random(self.seed), set()  # Floyd's; `random.sample` needs len < 2**63
+        for j in range(total - self.count, total):
+            r = rng.randrange(j + 1)
+            ranks.add(j if r in ranks else r)
+        ranks = np.array(sorted(ranks), dtype=np.int64 if total < 2**63 else object)
+        for block in np.split(ranks, range(step, self.count, step)):
+            yield _unrank(block, self.n * self.n, self.n), np.ones(len(block), dtype=np.int64)
+
+
+def _unrank(ranks: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The k-subsets of range(m) of the given ranks in `combinations` order, as rows: element i
+    is the last x whose count below[x] of subsets with a smaller element i fits the rank left."""
+    rows, prev = np.empty((len(ranks), k), dtype=np.int64), np.full(len(ranks), -1)
+    for i in range(k):
+        counts = (math.comb(m - 1 - y, k - 1 - i) for y in range(m))
+        below = np.array([0, *itertools.accumulate(counts)], dtype=ranks.dtype)
+        ranks = ranks + below[prev + 1]
+        rows[:, i] = prev = np.searchsorted(below, ranks, side="right") - 1
+        ranks = ranks - below[prev]
+    return rows
 
 
 def _mask(cells: np.ndarray, n: int) -> np.ndarray:
@@ -231,8 +238,8 @@ def _escalate(nonzero, primes: list[int]) -> tuple[np.ndarray, list[int]]:
 
 
 def _minors_mod(cols: np.ndarray, p: int, sel: np.ndarray) -> np.ndarray:
-    """Residues mod p of the minors on the column rows `sel`; `cols` is the
-    system matrix with one row per column, reduced.
+    """Residues mod p of the minors on the rows `sel` of reduced columns `cols`: row r of d columns
+    of n entries has C(n, d) minors, on row subsets t in `combinations` order, at r·C(n, d) + t.
 
     A row's first d+1 columns are a new prefix unless the row before has
     them too.  At depth d each new prefix takes one Laplace step from its
@@ -245,7 +252,7 @@ def _minors_mod(cols: np.ndarray, p: int, sel: np.ndarray) -> np.ndarray:
         new = first <= d
         # the parent: the last prefix of d columns up to the row (index -1 at d = 0: the empty one)
         coords = laplace_step_mod(coords[np.cumsum(first < d)[new] - 1], cols[sel[new, d]], d, p)
-    return coords[:, 0]
+    return coords.ravel()
 
 
 def _scan_chunk_exact(chunk: tuple, embeddings) -> tuple:
@@ -453,20 +460,17 @@ def fourier_minor_check(p: int, min_bits: int = DEFAULT_MIN_BITS) -> FourierChec
     if p > 7:
         raise ValueError("exhaustive minor check capped at p = 7")
     embeddings = _embeddings(ones_window_exact(p, min_bits), DEFAULT_NUM_PRIMES)
-    # columns π(0,λ)·1 = (ω^(jλ))_j, λ < p, of the all-ones window: the DFT matrix
-    tables = [c[:p].T for c, _ in embeddings]
+    # columns π(0,λ)·1 = (ω^(jλ))_j, λ < p, of the all-ones window: the DFT matrix.  The walk
+    # runs over its rows, so minor r·s + c is on (row subset r, column subset c).
+    tables = [(c[:p].T, q) for c, q in embeddings]
     tested, failures, primes_used = 0, [], set()
     for order in range(1, p + 1):
         subsets = np.array(list(itertools.combinations(range(p), order)))
-        rows = np.repeat(subsets, len(subsets), axis=0)
-        cols = np.tile(subsets, (len(subsets), 1))
         zero, used = _escalate(
-            lambda i, sel: det_batch_nonzero_mod(
-                tables[i][rows[sel][:, :, None], cols[sel][:, None, :]], embeddings[i][1]
-            ),
-            [q for _, q in embeddings],
+            lambda i, sel: _minors_mod(*tables[i], subsets)[sel] != 0, [q for _, q in tables]
         )
-        tested += len(rows)
-        failures.extend((tuple(map(int, rows[k])), tuple(map(int, cols[k]))) for k in zero)
+        tested += len(subsets) ** 2
+        r, c = np.divmod(zero, len(subsets))
+        failures += zip(map(tuple, subsets[r].tolist()), map(tuple, subsets[c].tolist()))
         primes_used.update(used)
     return FourierCheckReport(p, tested, failures, sorted(primes_used))

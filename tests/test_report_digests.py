@@ -39,6 +39,12 @@ CASES = [
         0,
         "6a27a6324f04028b3850be869fd60f1e4a8521c96f82956cbc89b97c1bb76f7d",
     ),
+    (
+        # lists the sampled supports that seed 5 selects
+        "verify --n 4 --window ones --mode sampled --count 300 --seed 5",
+        1,
+        "feb814821cbc768ab035b71d50255e96c94dd5b150cf61ada1f2d0bcad4330c4",
+    ),
     ("fourier-check --p 5", 0, "1338b3438ffefd4883ca54d5b7d49719ec9d59c5a4d5c46d17f3806c433b4bc3"),
     ("construct --n 5", 0, "d631ceed8146bdfe92abd0a18493329631ab86227e485f76b600f145c063563c"),
     (

@@ -35,6 +35,7 @@ from gaborglp.verify import (
     _orbit_members,
     _scan_chunk_exact,
     _scan_chunk_float,
+    _unrank,
     fourier_minor_check,
     verify_glp,
     write_witness_csv,
@@ -155,9 +156,21 @@ def test_least_translates_pass_the_difference_bound():
                 assert min(diffs, default=0) >= min(s[1:], default=0)
 
 
+def test_unrank_equals_combinations_order():
+    for m, k in [(1, 1), (4, 2), (9, 3), (16, 4), (25, 5)]:
+        rows = _unrank(np.arange(math.comb(m, k)), m, k)
+        assert list(map(tuple, rows.tolist())) == list(itertools.combinations(range(m), k))
+    for m, k in [(64, 8), (81, 9), (196, 14)]:  # C(196, 14) > 2**63: ranks are Python ints
+        last = math.comb(m, k) - 1
+        ranks = np.array([0, 1, last - 1, last], dtype=np.int64 if last < 2**63 else object)
+        rows = _unrank(ranks, m, k).tolist()
+        head, tail = list(range(k - 1)), list(range(m - k + 1, m))
+        assert rows == [head + [k - 1], head + [k], [m - k - 1, *tail], [m - k, *tail]]
+
+
 def test_sampled_enumeration_reproducible_and_distinct():
-    def draws(enum):
-        chunks = list(enum.chunks(64))
+    def draws(enum, size=64):
+        chunks = list(enum.chunks(size))
         assert all((weights == 1).all() for _, weights in chunks)
         return [tuple(map(int, row)) for rows, _ in chunks for row in rows]
 
@@ -169,9 +182,13 @@ def test_sampled_enumeration_reproducible_and_distinct():
     assert la != lc
     assert len(set(la)) == 300
     assert all(len(set(s)) == 4 and list(s) == sorted(s) for s in la)
+    # the whole stream is in `combinations` order, across blocks too
+    for size in (1, 64, DEFAULT_CHUNK):
+        stream = draws(a, size)
+        assert stream == la and all(s < t for s, t in zip(stream, stream[1:]))
 
 
-@pytest.mark.parametrize("n, size", [(4, 1), (4, 64), (8, 100)])
+@pytest.mark.parametrize("n, size", [(4, 1), (4, 64), (8, 100), (14, 1000)])
 def test_sampled_blocks_are_bounded_like_exhaustive_ones(n, size):
     # a block holds at most size // N rows (at least one), as in exhaustive
     # mode, so that its minors hold at most size·N entries
@@ -710,6 +727,37 @@ def test_fourier_minor_check_p5():
     report = fourier_minor_check(5)
     assert report.passed
     assert report.minors_tested == sum(math.comb(5, k) ** 2 for k in range(1, 6))
+
+
+def test_fourier_check_reads_rows_and_columns_apart(monkeypatch):
+    # the DFT is symmetric, so only a broken symmetry shows which subset of a
+    # failure indexes rows: zero row j = 2, column λ = 1 under every prime
+    embeddings = verify_module._embeddings
+
+    def zeroed(window, num_primes):
+        out = embeddings(window, num_primes)
+        for cols, _ in out:
+            cols[1, 2] = 0  # the column π(0,1)·1, row 2
+        return out
+
+    monkeypatch.setattr(verify_module, "_embeddings", zeroed)
+    report = fourier_minor_check(5)
+    assert ((2,), (1,)) in report.failures and ((1,), (2,)) not in report.failures
+    for cols, q in zeroed(ones_window_exact(5), 3):
+        dft = cols[:5].T
+        assert all(det_mod(dft[np.ix_(r, c)].tolist(), q) == 0 for r, c in report.failures)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_fourier_walk_residues_equal_scalar_minors(p):
+    # the check's walk over row subsets gives every minor of every order,
+    # (row subset, column subset) in `combinations` order, under every prime
+    for cols, q in _embeddings(ones_window_exact(p), 3):
+        dft = cols[:p].T
+        for order in range(1, p + 1):
+            subsets = list(itertools.combinations(range(p), order))
+            minors = [det_mod(dft[np.ix_(r, c)].tolist(), q) for r in subsets for c in subsets]
+            assert _minors_mod(dft, q, np.array(subsets)).tolist() == minors
 
 
 def test_fourier_minor_check_guards():
