@@ -12,9 +12,11 @@ determinant is zero.  Two interchangeable backends answer that question:
   Exact determinants come from one kernel, `laplace_step_mod`, which appends
   a column to the maximal minors of each matrix's first d columns by Laplace
   expansion, with no pivot, division or sign bookkeeping.  `det_batch_mod`
-  serves Q(x) only and takes n steps a matrix; the verify scan and the DFT
-  check take one step per distinct column prefix, so minors that share a
-  prefix share its work.  `residue_dtype` decides the width.
+  serves Q(x) only and takes n steps a matrix.  The exhaustive verify scan
+  takes one step per row that its depth-first walk grows, and per orbit
+  representative; sampled rows, escalation and the DFT check take one step
+  per distinct column prefix.  Either way minors that share a prefix share
+  its work.  `residue_dtype` decides the width.
 
 * float: extended-precision complex arithmetic (80-bit long double where the
   platform provides it, i.e. a 64-bit mantissa) with an explicit relative
@@ -261,12 +263,14 @@ def laplace_step_mod(coords: np.ndarray, cols: np.ndarray, d: int, p: int) -> np
     """The C(n, d+1) minors mod p of R matrices after one more column: row r of `coords` holds
     the reduced C(n, d) minors P of matrix r's first d columns (row subsets in `combinations`
     order), row r of `cols` (R, n) is its next column x, and the minor on the rows
-    T = (t_0 < … < t_d) is Σ_j (-1)^(j+d)·x[t_j]·P[T∖t_j].  Each product is reduced before the
-    signed sum, so the sum fits int64 wherever `residue_dtype` is int64."""
+    T = (t_0 < … < t_d) is Σ_j (-1)^(j+d)·x[t_j]·P[T∖t_j].  Products are reduced before the
+    signed sum where d+1 of them could overflow it, so the sum fits int64 wherever
+    `residue_dtype` is int64."""
     rows, rest, sign = _expansion(cols.shape[1], d)
     prod = np.take(np.asarray(coords, dtype=residue_dtype(p)), rest, axis=1)
     prod *= np.take(cols, rows, axis=1)
-    prod %= p
+    if (d + 1) * (p - 1) ** 2 >= 1 << 63:
+        prod %= p
     return prod @ sign % p
 
 

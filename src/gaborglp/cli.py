@@ -197,16 +197,12 @@ def cmd_construct(args) -> tuple[dict, int]:
 
 def cmd_verify(args) -> tuple[dict, int]:
     n = args.n
-    window = _build_window(args, n)
-    if window.backend.kind != args.backend:
-        raise ValueError(
-            f"window backend {window.backend.kind!r} does not match --backend {args.backend!r}"
-        )
     if args.mode == "sampled":
         enum = verify.SupportEnumeration(n, "sampled", count=args.count, seed=args.seed)
     else:
+        enum = verify.SupportEnumeration(n, "exhaustive")
         # the float scan tests every support, the exact scan one per translation orbit
-        rows, what = math.comb(n * n, n), "{} supports"
+        rows, what = enum.total(), "{} supports"
         if args.backend == "exact":  # an orbit has at most N² members
             rows, what = -(-rows // (n * n)), "at least {} orbit representatives"
         if rows > args.exhaustive_budget:
@@ -214,7 +210,11 @@ def cmd_verify(args) -> tuple[dict, int]:
                 f"exhaustive mode tests {what.format(rows)}; over budget "
                 f"{args.exhaustive_budget} — use --mode sampled"
             )
-        enum = verify.SupportEnumeration(n, "exhaustive")
+    window = _build_window(args, n)
+    if window.backend.kind != args.backend:
+        raise ValueError(
+            f"window backend {window.backend.kind!r} does not match --backend {args.backend!r}"
+        )
 
     progress = None
     if args.progress:

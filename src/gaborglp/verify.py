@@ -12,14 +12,20 @@ Exhaustive mode checks one support per translation orbit.  As π(a,b)·π(κ,λ)
 = ω^c·π(κ+a, λ+b), the matrix of Λ+(a,b) is π(a,b) times the matrix of Λ
 times a diagonal of powers of ω and a permutation, so whether the minor
 vanishes is constant on the orbit, over ℂ and mod every embedding prime.
-Representatives grow column by column under a necessary bound, then pass
-an exact test (`_representatives`).  The exact scan runs the kernel on
-representatives and reports every member of a dependent orbit; the float
-scan tests every member, since rounding makes float moduli and witnesses
-differ across an orbit.  The exact scan walks each block's rows column
-by column (`_minors_mod`): a prefix of d+1 columns gets its C(N, d+1)
-maximal minors by one Laplace step from its parent prefix, and rows in
-depth-first order share long prefixes, so they share work at every depth.
+Representatives grow column by column, depth first, under a necessary
+bound (`_walk`); a full row then passes an exact test on its support mask
+(`_leaves`).  Under the exact backend the walk is the scan: every grown row
+carries the maximal minors of its columns mod the first prime, one Laplace
+step from its parent's, so a representative's minor is one step from its
+parent and rows share the work of their common prefix at every depth.  The
+walk stops at rows of N-1 columns; each slice of their candidate columns is
+a task that a worker finishes (least test, last step, escalation, orbit
+expansion), so blocks and reports do not depend on the worker count.  The
+exact scan reports every member of a dependent orbit; the float scan takes
+the walk's representatives without minors and tests every member, since
+rounding makes float moduli and witnesses differ across an orbit.
+`_minors_mod` walks given rows column by column instead: sampled rows,
+representatives under the further escalation primes, and the DFT check.
 
 Soundness convention for the exact backend: a nonzero residue mod p proves
 the minor nonzero; a zero residue is only "zero mod p" and is escalated
@@ -63,7 +69,7 @@ class SupportEnumeration:
 
     Columns are numbered 0..N²-1 in lexicographic (κ,λ) order.  Exhaustive
     mode covers all C(N², N) supports by one representative per translation
-    orbit (see `_representatives`); sampled mode unranks `count` distinct
+    orbit (see `_walk`); sampled mode unranks `count` distinct
     ranks drawn from `seed`.  Both yield rows in `itertools.combinations` order.
     """
 
@@ -73,6 +79,8 @@ class SupportEnumeration:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"N must be at least 1, got {self.n}")
         if self.mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.mode == "exhaustive" and self.n > 8:
@@ -88,15 +96,18 @@ class SupportEnumeration:
     def total(self) -> int:
         return math.comb(self.n * self.n, self.n) if self.mode == "exhaustive" else int(self.count)
 
-    def chunks(self, size: int = DEFAULT_CHUNK):
+    def chunks(self, size: int = DEFAULT_CHUNK, embedding=None):
         """Blocks of at most max(1, `size` // N) rows, as (supports, weights) arrays.
 
         A row stands for `weight` supports: an exhaustive row is an orbit
         representative weighted by its orbit size, a sampled row is one drawn
-        support of weight 1.  `_orbit_members` expands a block.
+        support of weight 1.  `_orbit_members` expands a block.  Under an
+        `embedding` (columns, prime), exhaustive blocks come as the leaf tasks
+        of `_walk` instead, which `_leaves` finishes with their minors.
         """
         if self.mode == "exhaustive":
-            yield from _representatives(self.n, size)
+            tasks = _walk(self.n, size, embedding)
+            yield from tasks if embedding is not None else (_leaves(t)[:2] for t in tasks)
             return
         total, step = math.comb(self.n * self.n, self.n), max(1, size // self.n)
         rng, ranks = random.Random(self.seed), set()  # Floyd's; `random.sample` needs len < 2**63
@@ -136,38 +147,80 @@ def _shifted(masks: np.ndarray, n: int, e: np.ndarray) -> np.ndarray:
     return ((x & low) << b) | ((x & ~low) >> (n - b))
 
 
-def _representatives(n: int, size: int):
-    """Blocks of (orbit representatives, orbit sizes) covering every support.
+def _walk(n: int, size: int, embedding=None):
+    """The leaf tasks of the depth-first walk over orbit representatives.
 
     A representative is the lexicographically least member Λ = {0 < c₁ < …}
-    of its orbit: no Λ-e, e ∈ Λ (its translates that contain 0), is smaller;
-    the e with Λ-e = Λ form its stabilizer.  As Λ-y sorts as (0, min col(x-y),
-    …), every difference col(x-y), x ≠ y, is ≥ c₁, so rows grow a column y at
-    a time while `low`, y's least difference from the row, is ≥ c₁; depth
-    first in slices of size // N rows, so a block's minors hold ≤ `size`·N entries.
-    A full row's Λ-e can equal Λ or sort below it only if its next column is c₁,
-    that is e + c₁ ∈ Λ, so the exact test shifts only by the e in Λ ∩ (Λ-c₁)."""
+    of its orbit: no Λ-e, e ∈ Λ (its translates that contain 0), is smaller.
+    As Λ-y sorts as (0, min col(x-y), …), every difference col(x-y), x ≠ y, is
+    ≥ c₁, so rows grow a column y at a time while `low`, y's least difference
+    from the row, is ≥ c₁; depth first in slices of size // N rows.  A grown
+    row carries its mask and, under an `embedding` (columns, prime), its
+    C(N, d) minors: one `laplace_step_mod` from its parent's, on sub-slices
+    whose products hold ≤ `size` entries (one row's, if more).  A slice of
+    rows of N-1 columns is a leaf task (parents, masks, minors, leaves), of
+    candidates parents[r] + y for r·N² + y in `leaves`; `_leaves` finishes it.
+    """
     nn, step, col = n * n, max(1, size // n), np.arange(n * n)
     diff = (col[:, None] // n - col // n) % n * n + (col[:, None] - col) % n  # col(x-y)
-    sep = np.minimum(diff, diff.T).astype(np.uint8)
+    sep, bit = np.minimum(diff, diff.T).astype(np.uint8), _mask(col[:, None], n)
 
-    def grow(rows, low):
+    def minors(coords, r, y, d):
+        if embedding is None:
+            return None
+        cols, p = embedding
+        per = max(1, size // (math.comb(n, d + 1) * (d + 1)))
+        steps = [
+            laplace_step_mod(coords[r[s : s + per]], cols[y[s : s + per]], d, p)
+            for s in range(0, len(r), per)
+        ]
+        # int32 holds every residue below 2**31, in half the memory of the steps' int64
+        return np.concatenate(steps, dtype=np.int32 if p < 2**31 else None, casting="same_kind")
+
+    def grow(rows, masks, low, coords, grown):
         d = rows.shape[1]
-        if d == n:
-            own = _mask(rows, n)
-            near = own & _shifted(own, n, rows[:, min(1, n - 1)])  # Λ ∩ (Λ-c₁); c₁ = 0 at N = 1
-            r, j = np.nonzero((near[:, None] >> (nn - 1 - rows).astype(np.uint64)) & np.uint64(1))
-            masks, own_r = _shifted(own[r], n, rows[r, j]), own[r]
-            least = np.bincount(r[masks > own_r], minlength=len(rows)) == 0
-            yield rows[least], nn // np.bincount(r[masks == own_r], minlength=len(rows))[least]
-            return
-        c1 = rows[:, 1:2] if d > 1 else col  # a row of one column takes y as c₁
-        r, y = np.nonzero((low >= c1) & (col > rows[:, -1:]) & (col <= nn - n + d))
-        for s in range(0, len(r), step):
-            rs, ys = r[s : s + step], y[s : s + step]
-            yield from grow(np.column_stack([rows[rs], ys]), np.minimum(low[rs], sep[ys]))
+        for s in range(0, len(grown), step):
+            rs, ys = np.divmod(grown[s : s + step], nn)
+            if d == n - 1:  # a task holds the slice's parents and its candidates, r·N² + y
+                part = slice(rs[0], rs[-1] + 1)
+                leaves = (grown[s : s + step] - rs[0] * nn).astype(np.int32)
+                yield rows[part], masks[part], coords if coords is None else coords[part], leaves
+                continue
+            new, new_low = np.column_stack([rows[rs], ys]), np.minimum(low[rs], sep[ys])
+            c1 = new[:, 1:2] if d else col  # a row of one column takes y as c₁
+            ok = (new_low >= c1) & (col > new[:, -1:]) & (col <= nn - n + d + 1)
+            grown_minors = minors(coords, rs, ys, d)
+            yield from grow(new, masks[rs] | bit[ys], new_low, grown_minors, np.flatnonzero(ok))
 
-    yield from grow(np.zeros((1, 1), np.int64), sep[:1])
+    # every representative starts with column 0: the one candidate of the empty row
+    empty = None if embedding is None else np.ones((1, 1), dtype=residue_dtype(embedding[1]))
+    root = np.zeros((1, 0), np.int64), np.zeros(1, np.uint64), np.full((1, nn), nn, np.uint8)
+    yield from grow(*root, empty, np.zeros(1, np.intp))
+
+
+def _leaves(task, embedding=None):
+    """The representatives of a leaf task of `_walk` with their orbit sizes,
+    and under the walk's `embedding` their minors, one Laplace step from
+    their parents'.  The e with Λ-e = Λ form a row's stabilizer, e = 0 among
+    them.  A full row's Λ-e can equal Λ or sort below it only if its next
+    column is c₁, that is e + c₁ ∈ Λ, so the exact test shifts only by the
+    e ≠ 0 in Λ ∩ (Λ-c₁)."""
+    parents, masks, coords, leaves = task
+    n = parents.shape[1] + 1
+    r, y = np.divmod(leaves, n * n)
+    rows = np.column_stack([parents[r], y])
+    own = masks[r] | _mask(y[:, None], n)
+    # Λ ∩ (Λ-c₁) without the column 0 of Λ, its highest bit; c₁ = 0 at N = 1
+    near = (own ^ np.uint64(1 << (n * n - 1))) & _shifted(own, n, rows[:, min(1, n - 1)])
+    i, j = np.nonzero((near[:, None] >> (n * n - 1 - rows).astype(np.uint64)) & np.uint64(1))
+    shifted, own_i = _shifted(own[i], n, rows[i, j]), own[i]
+    least = np.bincount(i[shifted > own_i], minlength=len(rows)) == 0
+    weights = n * n // (1 + np.bincount(i[shifted == own_i], minlength=len(rows))[least])
+    if embedding is None:
+        return rows[least], weights, None
+    cols, p = embedding
+    minors = laplace_step_mod(coords[r[least]], cols[y[least]], n - 1, p)
+    return rows[least], weights, minors.ravel()
 
 
 def _orbit_members(reps: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -243,8 +296,10 @@ def _minors_mod(cols: np.ndarray, p: int, sel: np.ndarray) -> np.ndarray:
 
     A row's first d+1 columns are a new prefix unless the row before has
     them too.  At depth d each new prefix takes one Laplace step from its
-    parent's maximal minors.  Any order of rows is sound; the depth-first
-    order of `_representatives` makes prefixes repeat.
+    parent's maximal minors.  Any order of rows is sound; rows in
+    `combinations` order make prefixes repeat.  This serves sampled rows,
+    the escalation primes after the first and the DFT check; exhaustive
+    rows get their first-prime minors from `_walk`.
     """
     first = (np.diff(sel, axis=0, prepend=-1) != 0).argmax(axis=1)  # depth of a row's first new column
     coords = np.ones((1, 1), dtype=residue_dtype(p))  # the one empty prefix
@@ -255,15 +310,24 @@ def _minors_mod(cols: np.ndarray, p: int, sel: np.ndarray) -> np.ndarray:
     return coords.ravel()
 
 
-def _scan_chunk_exact(chunk: tuple, embeddings) -> tuple:
-    """Escalate the rows of a (supports, weights) chunk; the dependent
-    members come back as one array of column rows."""
+def _scan_chunk_exact(chunk: tuple, embeddings, first=None) -> tuple:
+    """Escalate the rows of a (supports, weights) chunk, taking their residues
+    under the first prime from `first` where given; the dependent members
+    come back as one array of column rows."""
     sel, weights = chunk
+    if first is None:
+        first = _minors_mod(*embeddings[0], sel)
     dependent, used = _escalate(
-        lambda i, rows: _minors_mod(*embeddings[i], sel[rows]) != 0,
+        lambda i, rows: (first if i == 0 else _minors_mod(*embeddings[i], sel[rows])) != 0,
         [p for _, p in embeddings],
     )
     return int(weights.sum()), (_orbit_members(sel[dependent], weights[dependent]),), used
+
+
+def _scan_leaves(task: tuple, embeddings) -> tuple:
+    """Finish a leaf task of the walk under the first prime and escalate its representatives."""
+    sel, weights, first = _leaves(task, embeddings[0])
+    return _scan_chunk_exact((sel, weights), embeddings, first)
 
 
 def _scan_chunk_float(chunk: tuple, cols: np.ndarray, backend) -> tuple:
@@ -368,18 +432,22 @@ def verify_glp(
             raise ValueError(f"the number of {name} must be at least 1, got {value}")
     start = time.perf_counter()
     kind = window.backend.kind
-    if kind == "exact":
-        scan = partial(_scan_chunk_exact, embeddings=_embeddings(window, num_primes))
-    else:
+    if kind == "float":
         scan = partial(_scan_chunk_float, cols=system_matrix(window), backend=window.backend)
+        chunks = enumeration.chunks(chunk_size)
+    elif enumeration.mode == "sampled":
+        scan = partial(_scan_chunk_exact, embeddings=_embeddings(window, num_primes))
+        chunks = enumeration.chunks(chunk_size)
+    else:  # the scan finishes the walk's leaf tasks, in the workers
+        embeddings = _embeddings(window, num_primes)
+        scan = partial(_scan_leaves, embeddings=embeddings)
+        chunks = enumeration.chunks(chunk_size, embeddings[0])
 
     tested = 0
     found: list[tuple] = []
     primes_used: set[int] = set()
     with Pool(workers) if workers > 1 else nullcontext() as pool:
-        for count, arrays, primes_hit in (pool.imap if pool else map)(
-            scan, enumeration.chunks(chunk_size)
-        ):
+        for count, arrays, primes_hit in (pool.imap if pool else map)(scan, chunks):
             tested += count
             found.append(arrays)
             primes_used.update(primes_hit)

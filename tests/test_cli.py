@@ -132,6 +132,9 @@ def test_exhaustive_budget_counts_the_rows_the_scan_tests(monkeypatch, capsys):
     "argv",
     [
         ["analyze", "--n", "4", "--support", "(0,0);(1,1);(2,2);(3,3)", "--class-budget", "2"],
+        ["verify", "--n", "-2", "--backend", "float", "--window", "ones"],
+        ["verify", "--n", "0"],
+        ["verify", "--n", "0", "--mode", "sampled", "--count", "1", "--seed", "1"],
         ["verify", "--n", "4", "--window", "ones", "--primes", "0"],
         ["verify", "--n", "4", "--window", "ones", "--primes", "-2"],
         ["verify", "--n", "3", "--backend", "float", "--window", "random", "--primes", "0"],

@@ -31,6 +31,7 @@ from gaborglp.verify import (
     _escalate,
     _embeddings,
     _exact_windows,
+    _leaves,
     _minors_mod,
     _orbit_members,
     _scan_chunk_exact,
@@ -96,6 +97,13 @@ def test_exhaustive_enumeration_matches_combinations():
     assert orbits[4] == 122 and orbits[5] == 2130
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_enumeration_refuses_n_below_1(n):
+    for kwargs in ({}, {"mode": "sampled", "count": 1, "seed": 1}):
+        with pytest.raises(ValueError, match=f"N must be at least 1, got {n}"):
+            SupportEnumeration(n, **kwargs)
+
+
 def test_orbits_at_the_full_mask_width():
     # N = 8 uses all 64 bits of a support mask; N = 9 would need 81
     with pytest.raises(ValueError):
@@ -123,7 +131,7 @@ def test_exhaustive_blocks_are_bounded_and_increasing(n, size):
     assert sum(int(weights.sum()) for _, weights in blocks) == math.comb(n * n, n)
 
 
-# sha256 over the blocks of `_representatives(n, DEFAULT_CHUNK)`, each block's
+# sha256 over the exhaustive blocks of `chunks(DEFAULT_CHUNK)`, each block's
 # rows then its weights as int64 bytes
 REPRESENTATIVE_BLOCKS = {
     2: "843bddb2c20ad2479b9e7f7147891b677b1a1a494d47da47b94cc4e3ddf3c402",
@@ -140,7 +148,7 @@ def test_representative_blocks_are_pinned(n):
     # the least-translate test looks only at translates Λ-e with e + c₁ ∈ Λ;
     # the blocks are those of the test over every translate that contains 0
     digest = hashlib.sha256()
-    for reps, weights in verify_module._representatives(n, DEFAULT_CHUNK):
+    for reps, weights in SupportEnumeration(n, "exhaustive").chunks(DEFAULT_CHUNK):
         digest.update(reps.astype(np.int64).tobytes())
         digest.update(weights.astype(np.int64).tobytes())
     assert digest.hexdigest() == REPRESENTATIVE_BLOCKS[n]
@@ -368,19 +376,24 @@ def test_verify_glp_deterministic_reports(exact_window_4):
     assert r1.to_dict() == r2.to_dict()
 
 
-def test_verify_glp_refuses_a_scan_that_misses_supports(monkeypatch, exact_window_4):
-    # the weights of a lost representative are missing from the count
-    representatives = verify_module._representatives
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("chunk_size", [4, DEFAULT_CHUNK])
+def test_verify_glp_refuses_a_scan_that_misses_supports(monkeypatch, exact_window_4, workers, chunk_size):
+    # the weights of a lost representative are missing from the count: the
+    # walk loses the first candidate, (0, 1, 2, 3) of weight 4, which is one
+    # whole leaf task when a task holds one candidate (chunk_size 4)
+    walk = verify_module._walk
 
-    def drop_one(n, size):
-        blocks = representatives(n, size)
-        reps, weights = next(blocks)
-        yield reps[1:], weights[1:]
-        yield from blocks
+    def drop_one(n, size, embedding=None):
+        tasks = walk(n, size, embedding)
+        *parents, leaves = next(tasks)
+        if len(leaves) > 1:
+            yield *parents, leaves[1:]
+        yield from tasks
 
-    monkeypatch.setattr(verify_module, "_representatives", drop_one)
+    monkeypatch.setattr(verify_module, "_walk", drop_one)
     with pytest.raises(RuntimeError, match="covered 1816 of 1820 supports"):
-        verify_glp(exact_window_4, SupportEnumeration(4, "exhaustive"))
+        verify_glp(exact_window_4, SupportEnumeration(4, "exhaustive"), workers, chunk_size=chunk_size)
 
 
 def assert_matches_scalar_reference(window):
@@ -535,23 +548,57 @@ def test_walk_residues_do_not_depend_on_row_order(make):
         assert sorted(map(tuple, members.tolist())) == sorted(map(tuple, members2.tolist()))
 
 
-def test_scan_steps_once_per_distinct_prefix(monkeypatch, exact_window_5):
-    # at each depth d, one Laplace step per distinct prefix of d+1 columns
-    # in a block
+@pytest.mark.parametrize("chunk_size", [97, DEFAULT_CHUNK])
+def test_walk_steps_once_per_grown_row(monkeypatch, exact_window_5, chunk_size):
+    # below the last depth, one Laplace step per row that the walk grows, and
+    # at the last depth one per representative; the rows grown are counted
+    # here from every prefix under the difference bound.  No step's products
+    # hold more than chunk_size entries.
+    n, nn = 5, 25
     steps = {}
     kernel = verify_module.laplace_step_mod
 
     def counted(coords, cols, d, p):
         steps[p, d] = steps.get((p, d), 0) + len(cols)
+        assert len(cols) * math.comb(n, d + 1) * (d + 1) <= chunk_size
         return kernel(coords, cols, d, p)
 
+    def sep(x, y):
+        return min((x // n - y // n) % n * n + (x - y) % n, (y // n - x // n) % n * n + (y - x) % n)
+
+    def grown(k):  # rows (0, c₁, …) of k columns with room left and every difference ≥ c₁
+        return sum(
+            t[0] == 0
+            and all(c <= nn - n + j for j, c in enumerate(t))
+            and all(sep(x, y) >= t[1] for x, y in itertools.combinations(t, 2))
+            for t in itertools.combinations(range(nn), k)
+        )
+
     monkeypatch.setattr(verify_module, "laplace_step_mod", counted)
-    report = verify_glp(exact_window_5, SupportEnumeration(5, "exhaustive"))
+    report = verify_glp(exact_window_5, SupportEnumeration(n, "exhaustive"), chunk_size=chunk_size)
     [p] = report.primes_used
-    blocks = [sel.tolist() for sel, _ in SupportEnumeration(5).chunks()]
-    prefixes = [sum(len({tuple(row[: d + 1]) for row in sel}) for sel in blocks) for d in range(5)]
-    assert [steps[p, d] for d in range(5)] == prefixes
-    assert prefixes[3:] == [322, 2130]
+    assert [steps[p, d] for d in range(n)] == [grown(k) for k in range(1, n)] + [2130]
+    assert [grown(k) for k in range(1, n)] == [1, 12, 89, 531]
+
+
+@pytest.mark.parametrize(
+    "make, n",
+    [(ones_window_exact, n) for n in range(1, 7)] + [(power_window_root_of_unity, n) for n in (4, 5, 6)],
+)
+def test_walk_minors_equal_the_kernel_over_the_same_blocks(make, n):
+    # the walk's blocks are those of `chunks`, and its minors under the first
+    # prime are `_minors_mod`'s over them; at N = 1 the root is a leaf, at
+    # N = 2 a leaf's c₁ is its new column, and blocks of 97 split the
+    # intermediate steps
+    first = _embeddings(make(n), 1)[0]
+    enum = SupportEnumeration(n, "exhaustive")
+    for size in (97, DEFAULT_CHUNK) if n <= 5 else (DEFAULT_CHUNK,):
+        walked = [_leaves(task, first) for task in enum.chunks(size, first)]
+        blocks = list(enum.chunks(size))
+        assert len(walked) == len(blocks)
+        for (sel, weights, minors), (reps, ws) in zip(walked, blocks):
+            assert np.array_equal(sel, reps) and np.array_equal(weights, ws)
+            assert np.array_equal(minors, _minors_mod(*first, sel))
 
 
 def test_every_exact_determinant_runs_on_the_laplace_step(monkeypatch):
