@@ -13,10 +13,12 @@ determinant is zero.  Two interchangeable backends answer that question:
   a column to the maximal minors of each matrix's first d columns by Laplace
   expansion, with no pivot, division or sign bookkeeping.  `det_batch_mod`
   serves Q(x) only and takes n steps a matrix.  The exhaustive verify scan
-  takes one step per row that its depth-first walk grows, and per orbit
-  representative; sampled rows, escalation and the DFT check take one step
-  per distinct column prefix.  Either way minors that share a prefix share
-  its work.  `residue_dtype` decides the width.
+  takes one step per row that its depth-first walk grows, and its last step,
+  `last_step_mod`, is one dot per orbit representative with the signed
+  cofactors of its parent; sampled rows, escalation and the DFT check take
+  one step per distinct column prefix.  Either way minors that share a
+  prefix share its work.  `residue_dtype` decides the width, and
+  `reduce_mod` reduces by a floor division.
 
 * float: extended-precision complex arithmetic (80-bit long double where the
   platform provides it, i.e. a 64-bit mantissa) with an explicit relative
@@ -259,6 +261,15 @@ def _expansion(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, rest, sign
 
 
+def reduce_mod(a: np.ndarray, p: int) -> np.ndarray:
+    """`a % p` of an array (floor semantics, object arrays too) as a - a // p * p, built in the
+    quotient's memory: numpy divides int64 by a scalar with a multiply and a shift, several times
+    as fast as it takes a remainder."""
+    q = a // p
+    q *= p
+    return np.subtract(a, q, out=q)
+
+
 def laplace_step_mod(coords: np.ndarray, cols: np.ndarray, d: int, p: int) -> np.ndarray:
     """The C(n, d+1) minors mod p of R matrices after one more column: row r of `coords` holds
     the reduced C(n, d) minors P of matrix r's first d columns (row subsets in `combinations`
@@ -270,14 +281,26 @@ def laplace_step_mod(coords: np.ndarray, cols: np.ndarray, d: int, p: int) -> np
     prod = np.take(np.asarray(coords, dtype=residue_dtype(p)), rest, axis=1)
     prod *= np.take(cols, rows, axis=1)
     if (d + 1) * (p - 1) ** 2 >= 1 << 63:
-        prod %= p
-    return prod @ sign % p
+        prod = reduce_mod(prod, p)
+    return reduce_mod(prod @ sign, p)
+
+
+def last_step_mod(coords: np.ndarray, parent: np.ndarray, cols: np.ndarray, p: int) -> np.ndarray:
+    """`laplace_step_mod` at d = n-1, per parent: matrix k is parent[k] (its reduced n minors are
+    that row of `coords`) and column cols[k], and its determinant is the dot of cols[k] with the
+    parent's signed cofactors, taken once a parent.  As there, products are reduced before the sum
+    where n of them could overflow it."""
+    _, rest, sign = _expansion(cols.shape[1], cols.shape[1] - 1)
+    cof = np.take(np.asarray(coords, dtype=residue_dtype(p)), rest[0], axis=1) * sign
+    if cols.shape[1] * (p - 1) ** 2 >= 1 << 63:
+        return reduce_mod(reduce_mod(np.take(cof, parent, axis=0) * cols, p).sum(axis=1), p)
+    return reduce_mod(np.einsum("rj,rj->r", np.take(cof, parent, axis=0), cols), p)
 
 
 def det_batch_mod(mats: np.ndarray, p: int) -> np.ndarray:
     """Exact determinants mod p of a stack of (B, n, n) integer matrices:
     n Laplace steps from the one empty minor, a column at a time."""
-    m = np.remainder(np.asarray(mats, dtype=residue_dtype(p)), p)
+    m = reduce_mod(np.asarray(mats, dtype=residue_dtype(p)), p)
     if m.shape[1] != m.shape[2]:
         raise ValueError("matrices must be square")
     coords = np.ones((len(m), 1), dtype=m.dtype)
@@ -353,7 +376,7 @@ class ResidueBackend:
 
     def mul(self, a, b):
         a, b = np.asarray(a, dtype=self._product_dtype), np.asarray(b, dtype=self._product_dtype)
-        return (a * b % self.prime).astype(np.int64, copy=False)
+        return reduce_mod(a * b, self.prime).astype(np.int64, copy=False)
 
 
 class FloatBackend:

@@ -45,6 +45,7 @@ from .backends import (
     ResidueBackend,
     det_batch_mod,
     embedding_primes,
+    reduce_mod,
     residue_dtype,
 )
 from .operators import gabor_indices, support_cells
@@ -567,9 +568,12 @@ def _interpolation_matrix(k: int, p: int) -> np.ndarray:
 
 def _interpolate_mod(ys, p: int) -> list[int]:
     """Ascending coefficients mod p of the polynomial through (t, ys[t]), t = 0..k-1: one product
-    with the cached `_interpolation_matrix`, each term reduced so that sums fit int64 for p < 2**31."""
+    with the cached `_interpolation_matrix`, its terms reduced where row sums could overflow."""
     m = _interpolation_matrix(len(ys), p)
-    return ((m * np.asarray(ys, dtype=m.dtype) % p).sum(axis=1) % p).tolist()
+    prod = m * np.asarray(ys, dtype=m.dtype)
+    if len(ys) * (p - 1) ** 2 >= 1 << 63:
+        prod = reduce_mod(prod, p)
+    return reduce_mod(prod.sum(axis=1), p).tolist()
 
 
 @functools.lru_cache

@@ -16,14 +16,16 @@ Representatives grow column by column, depth first, under a necessary
 bound (`_walk`); a full row then passes an exact test on its support mask
 (`_leaves`).  Under the exact backend the walk is the scan: every grown row
 carries the maximal minors of its columns mod the first prime, one Laplace
-step from its parent's, so a representative's minor is one step from its
-parent and rows share the work of their common prefix at every depth.  The
-walk stops at rows of N-1 columns; each slice of their candidate columns is
-a task that a worker finishes (least test, last step, escalation, orbit
-expansion), so blocks and reports do not depend on the worker count.  The
-exact scan reports every member of a dependent orbit; the float scan takes
-the walk's representatives without minors and tests every member, since
-rounding makes float moduli and witnesses differ across an orbit.
+step from its parent's, so rows share the work of their common prefix at
+every depth.  The walk stops at rows of N-1 columns; each slice of their
+candidate columns is a task that a worker finishes: the least test, each
+representative's minor as one dot of its column with its parent's signed
+cofactors, then column rows, escalation and orbit expansion for the minors
+zero at the first prime only.  Blocks and reports do not depend on the
+worker count.  The exact scan reports every member of a dependent orbit;
+the float scan takes the walk's representatives without minors and tests
+every member, since rounding makes float moduli and witnesses differ
+across an orbit.
 `_minors_mod` walks given rows column by column instead: sampled rows,
 representatives under the further escalation primes, and the DFT check.
 
@@ -55,6 +57,7 @@ from .backends import (
     embedding_primes,
     is_prime,
     laplace_step_mod,
+    last_step_mod,
     residue_dtype,
 )
 from .operators import Window, system_matrix
@@ -106,8 +109,11 @@ class SupportEnumeration:
         of `_walk` instead, which `_leaves` finishes with their minors.
         """
         if self.mode == "exhaustive":
-            tasks = _walk(self.n, size, embedding)
-            yield from tasks if embedding is not None else (_leaves(t)[:2] for t in tasks)
+            for task in _walk(self.n, size, embedding):
+                if embedding is None:
+                    r, y, weights, _ = _leaves(task)
+                    task = np.column_stack([task[0][r], y]), weights
+                yield task
             return
         total, step = math.comb(self.n * self.n, self.n), max(1, size // self.n)
         rng, ranks = random.Random(self.seed), set()  # Floyd's; `random.sample` needs len < 2**63
@@ -199,28 +205,33 @@ def _walk(n: int, size: int, embedding=None):
 
 
 def _leaves(task, embedding=None):
-    """The representatives of a leaf task of `_walk` with their orbit sizes,
-    and under the walk's `embedding` their minors, one Laplace step from
-    their parents'.  The e with Λ-e = Λ form a row's stabilizer, e = 0 among
+    """The representatives parents[r] + y of a leaf task of `_walk`, as (r, y),
+    with their orbit sizes and under the walk's `embedding` their minors, by
+    `last_step_mod`.  The e with Λ-e = Λ form a row's stabilizer, e = 0 among
     them.  A full row's Λ-e can equal Λ or sort below it only if its next
     column is c₁, that is e + c₁ ∈ Λ, so the exact test shifts only by the
-    e ≠ 0 in Λ ∩ (Λ-c₁)."""
+    e ≠ 0 in Λ ∩ (Λ-c₁), lowest bit first, until a translate is smaller."""
     parents, masks, coords, leaves = task
     n = parents.shape[1] + 1
-    r, y = np.divmod(leaves, n * n)
-    rows = np.column_stack([parents[r], y])
+    nn = n * n
+    r, y = np.divmod(leaves, nn)
     own = masks[r] | _mask(y[:, None], n)
-    # Λ ∩ (Λ-c₁) without the column 0 of Λ, its highest bit; c₁ = 0 at N = 1
-    near = (own ^ np.uint64(1 << (n * n - 1))) & _shifted(own, n, rows[:, min(1, n - 1)])
-    i, j = np.nonzero((near[:, None] >> (n * n - 1 - rows).astype(np.uint64)) & np.uint64(1))
-    shifted, own_i = _shifted(own[i], n, rows[i, j]), own[i]
-    least = np.bincount(i[shifted > own_i], minlength=len(rows)) == 0
-    weights = n * n // (1 + np.bincount(i[shifted == own_i], minlength=len(rows))[least])
-    if embedding is None:
-        return rows[least], weights, None
-    cols, p = embedding
-    minors = laplace_step_mod(coords[r[least]], cols[y[least]], n - 1, p)
-    return rows[least], weights, minors.ravel()
+    # Λ ∩ (Λ-c₁) without the column 0 of Λ, its highest bit; c₁ = y below N = 3
+    near = (own ^ np.uint64(1 << (nn - 1))) & _shifted(own, n, parents[r, 1] if n > 2 else y)
+    least, fixed = np.ones(len(own), bool), np.zeros(len(own), np.intp)
+    i = np.flatnonzero(near)
+    bits, own_i = near[i], own[i]
+    while i.size:
+        rest = bits & (bits - np.uint64(1))
+        # the column of the lowest bit: frexp of a power of two 2**b is exact, exponent b + 1
+        shifted = _shifted(own_i, n, nn - np.frexp((bits ^ rest).astype(np.float64))[1])
+        least[i[shifted > own_i]] = False
+        fixed[i] += shifted == own_i
+        keep = (shifted <= own_i) & (rest != 0)
+        i, bits, own_i = i[keep], rest[keep], own_i[keep]
+    r, y = r[least], y[least]
+    minors = None if embedding is None else last_step_mod(coords, r, embedding[0][y], embedding[1])
+    return r, y, nn // (1 + fixed[least]), minors
 
 
 def _orbit_members(reps: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -325,9 +336,12 @@ def _scan_chunk_exact(chunk: tuple, embeddings, first=None) -> tuple:
 
 
 def _scan_leaves(task: tuple, embeddings) -> tuple:
-    """Finish a leaf task of the walk under the first prime and escalate its representatives."""
-    sel, weights, first = _leaves(task, embeddings[0])
-    return _scan_chunk_exact((sel, weights), embeddings, first)
+    """Finish a leaf task of the walk under the first prime and escalate the
+    representatives zero there, the only ones whose column rows are built."""
+    r, y, weights, first = _leaves(task, embeddings[0])
+    zero = first == 0
+    sel = np.column_stack([task[0][r[zero]], y[zero]])
+    return int(weights.sum()), *_scan_chunk_exact((sel, weights[zero]), embeddings, first[zero])[1:]
 
 
 def _scan_chunk_float(chunk: tuple, cols: np.ndarray, backend) -> tuple:
@@ -435,12 +449,10 @@ def verify_glp(
     if kind == "float":
         scan = partial(_scan_chunk_float, cols=system_matrix(window), backend=window.backend)
         chunks = enumeration.chunks(chunk_size)
-    elif enumeration.mode == "sampled":
-        scan = partial(_scan_chunk_exact, embeddings=_embeddings(window, num_primes))
-        chunks = enumeration.chunks(chunk_size)
-    else:  # the scan finishes the walk's leaf tasks, in the workers
+    else:  # exhaustive chunks are the walk's leaf tasks, which the workers finish
         embeddings = _embeddings(window, num_primes)
-        scan = partial(_scan_leaves, embeddings=embeddings)
+        exhaustive = enumeration.mode == "exhaustive"
+        scan = partial(_scan_leaves if exhaustive else _scan_chunk_exact, embeddings=embeddings)
         chunks = enumeration.chunks(chunk_size, embeddings[0])
 
     tested = 0

@@ -18,6 +18,9 @@ from gaborglp.backends import (
     embed_rational_complex,
     embedding_primes,
     is_prime,
+    laplace_step_mod,
+    last_step_mod,
+    reduce_mod,
     residue_dtype,
 )
 from gaborglp.monomials import CyclicPoly
@@ -367,6 +370,67 @@ def test_walk_steps_sign_of_permutation_prefix(n, p):
     sel = np.array([head + [0], head + [n - 1], head + [n], head + [0]])
     sign = (-1) ** (n * (n - 1) // 2)
     assert _minors_mod(cols, p, sel).tolist() == [0, sign % p, 2 * sign % p, 0]
+
+
+def laplace_last_sum(coords, col):
+    """The Laplace expansion along the last column in Python ints, unreduced: entry
+    j of `col` times the minor on the other rows, with sign (-1)^(j+n-1)."""
+    n = len(col)
+    rank = {s: i for i, s in enumerate(itertools.combinations(range(n), n - 1))}
+    others = [(*range(j), *range(j + 1, n)) for j in range(n)]
+    terms = ((-1) ** (j + n - 1) * int(x) * int(coords[rank[others[j]]]) for j, x in enumerate(col))
+    return sum(terms)
+
+
+@pytest.mark.parametrize("p", [1074207401, 2**31 - 1, WIDE_PRIME])
+def test_last_step_where_its_products_overflow_int64(p):
+    # at N = 8, 8·(p-1)² ≥ 2**63 under the prime that --prime-bits 30 picks, the
+    # largest int64 prime and a wide prime.  Every minor of the parents is 1 or
+    # p-1 and every entry of the last columns is p-1 or near it; under 2**31 - 1
+    # some sums leave int64, so an unreduced int64 dot would wrap there
+    n = 8
+    assert n * (p - 1) ** 2 >= 2**63 and residue_dtype(p) == (object if p >= 2**31 else np.int64)
+    coords = np.array(list(itertools.product([1, p - 1], repeat=n)), dtype=residue_dtype(p))
+    rng = np.random.default_rng(p % 1000)
+    parent = np.concatenate([np.arange(len(coords)), rng.integers(0, len(coords), 64)])
+    cols = np.concatenate([np.full((len(coords), n), p - 1), rng.integers(p - 64, p, (64, n))])
+    sums = [laplace_last_sum(coords[r], c) for r, c in zip(parent, cols)]
+    assert (max(map(abs, sums)) >= 2**63) == (p >= 2**31 - 1)
+    got = last_step_mod(coords, parent, cols, p).tolist()
+    assert got == [s % p for s in sums]
+    assert got == laplace_step_mod(coords[parent], cols, n - 1, p).ravel().tolist()
+
+
+@given(
+    st.integers(2, 7),
+    st.sampled_from([2, 3, 13, 1049437, 2**31 - 1, WIDE_PRIME]),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=60, deadline=None)
+def test_last_step_equals_determinants_of_the_grown_matrices(n, p, seed):
+    # the parents' minors come from the walk, and each child's determinant is det_mod's
+    rng = np.random.default_rng(seed)
+    cols = walk_columns(n, p, rng)
+    heads = np.array(list(itertools.combinations(range(len(cols)), n - 1))[:12])
+    parent, last = rng.integers(0, len(heads), 40), rng.integers(0, len(cols), 40)
+    coords = _minors_mod(cols, p, heads).reshape(len(heads), n)
+    got = last_step_mod(coords, parent, cols[last], p).tolist()
+    assert got == [det_mod(cols[[*heads[r], c]].T.tolist(), p) for r, c in zip(parent, last)]
+
+
+@given(
+    st.lists(st.integers(-(2**62), 2**62), min_size=1, max_size=40),
+    st.integers(2, 2**31 - 1),
+    st.integers(2**31, 2**80),
+)
+def test_reduce_mod_is_the_remainder(values, p, wide):
+    # floor semantics on int64 arrays with negative entries and on Python ints
+    a = np.array(values, dtype=np.int64)
+    assert reduce_mod(a, p).dtype == np.int64 and (reduce_mod(a, p) == a % p).all()
+    o = np.array([v * wide for v in values], dtype=object)
+    assert reduce_mod(o, wide).tolist() == (o % wide).tolist() == [0] * len(values)
+    o = o + np.array(values, dtype=object)
+    assert reduce_mod(o, wide).tolist() == (o % wide).tolist()
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ CASES = [
         "8a7b6cc93a6c68397d29812306a0d96fe08acbef3957f16860fe3b11fa30eae4",
     ),
     (
+        # primes of 2**31 and more: the last step, escalation and orbit expansion on Python ints
+        "verify --n 4 --window ones --prime-bits 31",
+        1,
+        "ab62b0c0fb396f9a6b30c62ebe6da664c991540099507730069b125c5881e63e",
+    ),
+    (
         "verify --n 4 --window ones --backend float",
         1,
         "a046f42030e1957cecb6c33e97ca24e42eb9305a011f3531da5e170028ebe60f",

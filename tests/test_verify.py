@@ -551,17 +551,22 @@ def test_walk_residues_do_not_depend_on_row_order(make):
 @pytest.mark.parametrize("chunk_size", [97, DEFAULT_CHUNK])
 def test_walk_steps_once_per_grown_row(monkeypatch, exact_window_5, chunk_size):
     # below the last depth, one Laplace step per row that the walk grows, and
-    # at the last depth one per representative; the rows grown are counted
-    # here from every prefix under the difference bound.  No step's products
-    # hold more than chunk_size entries.
+    # at the last depth one cofactor dot per representative, on its parent's
+    # minors; the rows grown are counted here from every prefix under the
+    # difference bound.  No step's products hold more than chunk_size entries.
     n, nn = 5, 25
     steps = {}
-    kernel = verify_module.laplace_step_mod
+    kernel, last = verify_module.laplace_step_mod, verify_module.last_step_mod
 
     def counted(coords, cols, d, p):
         steps[p, d] = steps.get((p, d), 0) + len(cols)
         assert len(cols) * math.comb(n, d + 1) * (d + 1) <= chunk_size
         return kernel(coords, cols, d, p)
+
+    def counted_last(coords, parent, cols, p):
+        steps[p, n - 1] = steps.get((p, n - 1), 0) + len(cols)
+        assert len(cols) * n <= chunk_size and coords.shape[1] == n and len(parent) == len(cols)
+        return last(coords, parent, cols, p)
 
     def sep(x, y):
         return min((x // n - y // n) % n * n + (x - y) % n, (y // n - x // n) % n * n + (y - x) % n)
@@ -575,6 +580,7 @@ def test_walk_steps_once_per_grown_row(monkeypatch, exact_window_5, chunk_size):
         )
 
     monkeypatch.setattr(verify_module, "laplace_step_mod", counted)
+    monkeypatch.setattr(verify_module, "last_step_mod", counted_last)
     report = verify_glp(exact_window_5, SupportEnumeration(n, "exhaustive"), chunk_size=chunk_size)
     [p] = report.primes_used
     assert [steps[p, d] for d in range(n)] == [grown(k) for k in range(1, n)] + [2130]
@@ -587,18 +593,40 @@ def test_walk_steps_once_per_grown_row(monkeypatch, exact_window_5, chunk_size):
 )
 def test_walk_minors_equal_the_kernel_over_the_same_blocks(make, n):
     # the walk's blocks are those of `chunks`, and its minors under the first
-    # prime are `_minors_mod`'s over them; at N = 1 the root is a leaf, at
-    # N = 2 a leaf's c₁ is its new column, and blocks of 97 split the
-    # intermediate steps
+    # prime, one per representative parents[r] + y, are `_minors_mod`'s over
+    # them; at N = 1 the root is a leaf, at N = 2 a leaf's c₁ is its new
+    # column, and blocks of 97 split the intermediate steps
     first = _embeddings(make(n), 1)[0]
     enum = SupportEnumeration(n, "exhaustive")
     for size in (97, DEFAULT_CHUNK) if n <= 5 else (DEFAULT_CHUNK,):
-        walked = [_leaves(task, first) for task in enum.chunks(size, first)]
+        tasks = list(enum.chunks(size, first))
+        walked = [_leaves(task, first) for task in tasks]
         blocks = list(enum.chunks(size))
         assert len(walked) == len(blocks)
-        for (sel, weights, minors), (reps, ws) in zip(walked, blocks):
+        for task, (r, y, weights, minors), (reps, ws) in zip(tasks, walked, blocks):
+            sel = np.column_stack([task[0][r], y])
             assert np.array_equal(sel, reps) and np.array_equal(weights, ws)
             assert np.array_equal(minors, _minors_mod(*first, sel))
+
+
+@pytest.mark.parametrize("make, zeros", [(power_window_root_of_unity, 0), (ones_window_exact, 102)])
+def test_leaf_scan_escalates_only_the_first_prime_zeros(monkeypatch, make, zeros):
+    # the leaf tasks build column rows, and escalate, only for the
+    # representatives zero at the first prime: none for the constructed
+    # window, 102 of 122 for `ones` at N = 4, whose orbits hold its 1,564
+    # dependent supports
+    escalated = []
+    scan = verify_module._scan_chunk_exact
+
+    def counted(chunk, embeddings, first=None):
+        escalated.append(len(chunk[0]))
+        assert first is not None and not first.any()
+        return scan(chunk, embeddings, first)
+
+    monkeypatch.setattr(verify_module, "_scan_chunk_exact", counted)
+    report = verify_glp(make(4), SupportEnumeration(4, "exhaustive"), chunk_size=97)
+    assert len(escalated) > 1 and sum(escalated) == zeros
+    assert len(report.dependent) == (1564 if zeros else 0)
 
 
 def test_every_exact_determinant_runs_on_the_laplace_step(monkeypatch):
