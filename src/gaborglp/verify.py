@@ -8,10 +8,11 @@ the minors in batches, and lists each dependent support in a deterministic
 report.  The scans return dependent members as arrays, which `verify_glp` sorts
 and the report keeps; `to_dict` and `write_witness_csv` write them out in bulk.
 
-Exhaustive mode checks one support per translation orbit.  As π(a,b)·π(κ,λ)
-= ω^c·π(κ+a, λ+b), the matrix of Λ+(a,b) is π(a,b) times the matrix of Λ
-times a diagonal of powers of ω and a permutation, so whether the minor
-vanishes is constant on the orbit, over ℂ and mod every embedding prime.
+The exact exhaustive scan checks one support per translation orbit; orbits
+and their weights belong to it alone.  As π(a,b)·π(κ,λ) = ω^c·π(κ+a, λ+b),
+the matrix of Λ+(a,b) is π(a,b) times the matrix of Λ times a diagonal of
+powers of ω and a permutation, so whether the minor vanishes is constant on
+the orbit, over ℂ and mod every embedding prime.
 Representatives grow column by column, depth first, under a necessary
 bound (`_walk`); a full row then passes an exact test on its support mask
 (`_leaves`).  Under the exact backend the walk is the scan: every grown row
@@ -22,11 +23,11 @@ candidate columns is a task that a worker finishes: the least test, each
 representative's minor as one dot of its column with its parent's signed
 cofactors, then column rows, escalation and orbit expansion for the minors
 zero at the first prime only.  Blocks and reports do not depend on the
-worker count.  The exact scan reports every member of a dependent orbit;
-the float scan takes the walk's representatives without minors and tests
-every member, since rounding makes float moduli and witnesses differ
-across an orbit.
-`_minors_mod` walks given rows column by column instead: sampled rows,
+worker count.  The exact scan reports every member of a dependent orbit.
+Every other scan reads plain blocks of column rows by rank (`_unrank`): the
+float scan tests every support, since rounding makes float moduli and
+witnesses differ across an orbit, and sampled mode tests its draws.
+`_minors_mod` walks given rows column by column: sampled rows,
 representatives under the further escalation primes, and the DFT check.
 
 Soundness convention for the exact backend: a nonzero residue mod p proves
@@ -71,9 +72,8 @@ class SupportEnumeration:
     """Stream of size-N supports, as rows of sorted column indices.
 
     Columns are numbered 0..N²-1 in lexicographic (κ,λ) order.  Exhaustive
-    mode covers all C(N², N) supports by one representative per translation
-    orbit (see `_walk`); sampled mode unranks `count` distinct
-    ranks drawn from `seed`.  Both yield rows in `itertools.combinations` order.
+    mode covers all C(N², N) supports, sampled mode `count` distinct ranks
+    drawn from `seed`; both yield rows in `itertools.combinations` order.
     """
 
     n: int
@@ -100,29 +100,28 @@ class SupportEnumeration:
         return math.comb(self.n * self.n, self.n) if self.mode == "exhaustive" else int(self.count)
 
     def chunks(self, size: int = DEFAULT_CHUNK, embedding=None):
-        """Blocks of at most max(1, `size` // N) rows, as (supports, weights) arrays.
-
-        A row stands for `weight` supports: an exhaustive row is an orbit
-        representative weighted by its orbit size, a sampled row is one drawn
-        support of weight 1.  `_orbit_members` expands a block.  Under an
-        `embedding` (columns, prime), exhaustive blocks come as the leaf tasks
-        of `_walk` instead, which `_leaves` finishes with their minors.
-        """
-        if self.mode == "exhaustive":
-            for task in _walk(self.n, size, embedding):
-                if embedding is None:
-                    r, y, weights, _ = _leaves(task)
-                    task = np.column_stack([task[0][r], y]), weights
-                yield task
+        """Blocks of at most max(1, `size` // N) column rows, unranked from every
+        rank below C(N², N) in turn or from the sorted draws; the float scan
+        tests each row.  Only the exact exhaustive scan shares a verdict across
+        a translation orbit: under an `embedding` (columns, prime), exhaustive
+        blocks are the leaf tasks of `_walk`, which `_leaves` finishes with
+        their minors and orbit sizes."""
+        if self.mode == "exhaustive" and embedding is not None:
+            yield from _walk(self.n, size, embedding)
             return
-        total, step = math.comb(self.n * self.n, self.n), max(1, size // self.n)
-        rng, ranks = random.Random(self.seed), set()  # Floyd's; `random.sample` needs len < 2**63
-        for j in range(total - self.count, total):
-            r = rng.randrange(j + 1)
-            ranks.add(j if r in ranks else r)
-        ranks = np.array(sorted(ranks), dtype=np.int64 if total < 2**63 else object)
-        for block in np.split(ranks, range(step, self.count, step)):
-            yield _unrank(block, self.n * self.n, self.n), np.ones(len(block), dtype=np.int64)
+        nn, step = self.n * self.n, max(1, size // self.n)
+        total = math.comb(nn, self.n)
+        if self.mode == "exhaustive":
+            blocks = (np.arange(s, min(s + step, total)) for s in range(0, total, step))
+        else:
+            rng, ranks = random.Random(self.seed), set()  # Floyd's; `random.sample` needs len < 2**63
+            for j in range(total - self.count, total):
+                r = rng.randrange(j + 1)
+                ranks.add(j if r in ranks else r)
+            ranks = np.array(sorted(ranks), dtype=np.int64 if total < 2**63 else object)
+            blocks = np.split(ranks, range(step, self.count, step))
+        for block in blocks:
+            yield _unrank(block, nn, self.n)
 
 
 def _unrank(ranks: np.ndarray, m: int, k: int) -> np.ndarray:
@@ -153,7 +152,7 @@ def _shifted(masks: np.ndarray, n: int, e: np.ndarray) -> np.ndarray:
     return ((x & low) << b) | ((x & ~low) >> (n - b))
 
 
-def _walk(n: int, size: int, embedding=None):
+def _walk(n: int, size: int, embedding):
     """The leaf tasks of the depth-first walk over orbit representatives.
 
     A representative is the lexicographically least member Λ = {0 < c₁ < …}
@@ -161,8 +160,8 @@ def _walk(n: int, size: int, embedding=None):
     As Λ-y sorts as (0, min col(x-y), …), every difference col(x-y), x ≠ y, is
     ≥ c₁, so rows grow a column y at a time while `low`, y's least difference
     from the row, is ≥ c₁; depth first in slices of size // N rows.  A grown
-    row carries its mask and, under an `embedding` (columns, prime), its
-    C(N, d) minors: one `laplace_step_mod` from its parent's, on sub-slices
+    row carries its mask and its C(N, d) minors under the `embedding`
+    (columns, prime): one `laplace_step_mod` from its parent's, on sub-slices
     whose products hold ≤ `size` entries (one row's, if more).  A slice of
     rows of N-1 columns is a leaf task (parents, masks, minors, leaves), of
     candidates parents[r] + y for r·N² + y in `leaves`; `_leaves` finishes it.
@@ -170,11 +169,9 @@ def _walk(n: int, size: int, embedding=None):
     nn, step, col = n * n, max(1, size // n), np.arange(n * n)
     diff = (col[:, None] // n - col // n) % n * n + (col[:, None] - col) % n  # col(x-y)
     sep, bit = np.minimum(diff, diff.T).astype(np.uint8), _mask(col[:, None], n)
+    cols, p = embedding
 
     def minors(coords, r, y, d):
-        if embedding is None:
-            return None
-        cols, p = embedding
         per = max(1, size // (math.comb(n, d + 1) * (d + 1)))
         steps = [
             laplace_step_mod(coords[r[s : s + per]], cols[y[s : s + per]], d, p)
@@ -190,7 +187,7 @@ def _walk(n: int, size: int, embedding=None):
             if d == n - 1:  # a task holds the slice's parents and its candidates, r·N² + y
                 part = slice(rs[0], rs[-1] + 1)
                 leaves = (grown[s : s + step] - rs[0] * nn).astype(np.int32)
-                yield rows[part], masks[part], coords if coords is None else coords[part], leaves
+                yield rows[part], masks[part], coords[part], leaves
                 continue
             new, new_low = np.column_stack([rows[rs], ys]), np.minimum(low[rs], sep[ys])
             c1 = new[:, 1:2] if d else col  # a row of one column takes y as c₁
@@ -199,14 +196,13 @@ def _walk(n: int, size: int, embedding=None):
             yield from grow(new, masks[rs] | bit[ys], new_low, grown_minors, np.flatnonzero(ok))
 
     # every representative starts with column 0: the one candidate of the empty row
-    empty = None if embedding is None else np.ones((1, 1), dtype=residue_dtype(embedding[1]))
     root = np.zeros((1, 0), np.int64), np.zeros(1, np.uint64), np.full((1, nn), nn, np.uint8)
-    yield from grow(*root, empty, np.zeros(1, np.intp))
+    yield from grow(*root, np.ones((1, 1), dtype=residue_dtype(p)), np.zeros(1, np.intp))
 
 
-def _leaves(task, embedding=None):
+def _leaves(task, embedding):
     """The representatives parents[r] + y of a leaf task of `_walk`, as (r, y),
-    with their orbit sizes and under the walk's `embedding` their minors, by
+    with their orbit sizes and their minors under the walk's `embedding`, by
     `last_step_mod`.  The e with Λ-e = Λ form a row's stabilizer, e = 0 among
     them.  A full row's Λ-e can equal Λ or sort below it only if its next
     column is c₁, that is e + c₁ ∈ Λ, so the exact test shifts only by the
@@ -230,15 +226,12 @@ def _leaves(task, embedding=None):
         keep = (shifted <= own_i) & (rest != 0)
         i, bits, own_i = i[keep], rest[keep], own_i[keep]
     r, y = r[least], y[least]
-    minors = None if embedding is None else last_step_mod(coords, r, embedding[0][y], embedding[1])
-    return r, y, nn // (1 + fixed[least]), minors
+    return r, y, nn // (1 + fixed[least]), last_step_mod(coords, r, embedding[0][y], embedding[1])
 
 
-def _orbit_members(reps: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """The supports that the rows of a chunk stand for: the distinct
-    translates of each representative (weight > 1), sorted row by row; a
-    chunk of weight-1 rows stands for itself."""
-    if not (weights > 1).any():
+def _orbit_members(reps: np.ndarray) -> np.ndarray:
+    """The distinct translates of each representative, sorted row by row."""
+    if not len(reps):  # most leaf tasks have no dependent representative
         return reps
     n = reps.shape[1]
     masks = np.sort(_shifted(_mask(reps, n)[:, None], n, np.arange(n * n)), axis=1)
@@ -321,45 +314,40 @@ def _minors_mod(cols: np.ndarray, p: int, sel: np.ndarray) -> np.ndarray:
     return coords.ravel()
 
 
-def _scan_chunk_exact(chunk: tuple, embeddings, first=None) -> tuple:
-    """Escalate the rows of a (supports, weights) chunk, taking their residues
-    under the first prime from `first` where given; the dependent members
-    come back as one array of column rows."""
-    sel, weights = chunk
+def _scan_chunk_exact(sel: np.ndarray, embeddings, first=None) -> tuple:
+    """Escalate the column rows `sel`, taking their residues under the first
+    prime from `first` where given; the dependent rows come back as one array."""
     if first is None:
         first = _minors_mod(*embeddings[0], sel)
     dependent, used = _escalate(
         lambda i, rows: (first if i == 0 else _minors_mod(*embeddings[i], sel[rows])) != 0,
         [p for _, p in embeddings],
     )
-    return int(weights.sum()), (_orbit_members(sel[dependent], weights[dependent]),), used
+    return len(sel), (sel[dependent],), used
 
 
 def _scan_leaves(task: tuple, embeddings) -> tuple:
-    """Finish a leaf task of the walk under the first prime and escalate the
-    representatives zero there, the only ones whose column rows are built."""
+    """Finish a leaf task of the walk under the first prime, escalate the
+    representatives zero there, the only ones whose column rows are built,
+    and expand the dependent ones to their orbits."""
     r, y, weights, first = _leaves(task, embeddings[0])
     zero = first == 0
     sel = np.column_stack([task[0][r[zero]], y[zero]])
-    return int(weights.sum()), *_scan_chunk_exact((sel, weights[zero]), embeddings, first[zero])[1:]
+    _, (dependent,), used = _scan_chunk_exact(sel, embeddings, first[zero])
+    return int(weights.sum()), (_orbit_members(dependent),), used
 
 
-def _scan_chunk_float(chunk: tuple, cols: np.ndarray, backend) -> tuple:
-    """Scan every member of a (supports, weights) chunk (float moduli are not
-    orbit invariant); the dependent members come back as arrays of their
-    column rows, determinant moduli and witnesses, empty ones for an empty
-    chunk.  A modulus is |d| of the complex128 rounding of d: a long-double
-    abs rounds the last bit differently."""
-    sel, weights = chunk
-    members = _orbit_members(sel, weights)
-    found = []
-    for start in range(0, max(len(members), 1), DEFAULT_CHUNK):
-        mats = cols[:, members[start : start + DEFAULT_CHUNK]].transpose(1, 0, 2)
-        dets = det_batch_float(mats)
-        rows = np.flatnonzero(backend.is_zero(dets, np.abs(mats).max(axis=(1, 2))))
-        moduli = np.abs(dets[rows].astype(np.complex128))
-        found.append((members[start + rows], moduli, _float_witness(mats[rows])))
-    return int(weights.sum()), tuple(map(np.concatenate, zip(*found))), []
+def _scan_chunk_float(sel: np.ndarray, cols: np.ndarray, backend) -> tuple:
+    """Test every column row of `sel` in one `det_batch_float` stack: float
+    moduli and witnesses differ across a translation orbit, so no verdict is
+    shared.  The dependent rows come back with their determinant moduli and
+    witnesses.  A modulus is |d| of the complex128 rounding of d: a
+    long-double abs rounds the last bit differently."""
+    mats = cols[:, sel].transpose(1, 0, 2)
+    dets = det_batch_float(mats)
+    rows = np.flatnonzero(backend.is_zero(dets, np.abs(mats).max(axis=(1, 2))))
+    moduli = np.abs(dets[rows].astype(np.complex128))
+    return len(sel), (sel[rows], moduli, _float_witness(mats[rows])), []
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +533,7 @@ def fourier_minor_check(p: int, min_bits: int = DEFAULT_MIN_BITS) -> FourierChec
     tables = [(c[:p].T, q) for c, q in embeddings]
     tested, failures, primes_used = 0, [], set()
     for order in range(1, p + 1):
-        subsets = np.array(list(itertools.combinations(range(p), order)))
+        subsets = _unrank(np.arange(math.comb(p, order)), p, order)
         zero, used = _escalate(
             lambda i, sel: _minors_mod(*tables[i], subsets)[sel] != 0, [q for _, q in tables]
         )

@@ -45,6 +45,7 @@ from gaborglp.windows import (
     ones_window,
     ones_window_exact,
     power_window_root_of_unity,
+    power_window_root_of_unity_float,
     random_window,
 )
 from oracles import check_support
@@ -79,22 +80,42 @@ def translates(support, n):
     ]
 
 
+def representative_blocks(n, size=DEFAULT_CHUNK):
+    """The exact exhaustive scan's blocks of orbit representatives and their
+    orbit sizes: `_leaves` over the walk's leaf tasks, under the first
+    embedding of `ones_window_exact(n)` (the blocks do not depend on it)."""
+    first = _embeddings(ones_window_exact(n), 1)[0]
+    for task in SupportEnumeration(n, "exhaustive").chunks(size, first):
+        r, y, weights, _ = _leaves(task, first)
+        yield np.column_stack([task[0][r], y]), weights
+
+
 def test_exhaustive_enumeration_matches_combinations():
     # orbit representatives expand to every support exactly once
     orbits = {}
     for n in range(1, 6):
-        enum = SupportEnumeration(n, "exhaustive")
-        chunks = list(enum.chunks(97))
-        members = [tuple(map(int, r)) for reps, ws in chunks for r in _orbit_members(reps, ws)]
+        chunks = list(representative_blocks(n, 97))
+        members = [tuple(map(int, r)) for reps, _ in chunks for r in _orbit_members(reps)]
         assert sorted(members) == list(itertools.combinations(range(n * n), n))
         reps = [tuple(map(int, row)) for reps, _ in chunks for row in reps]
         weights = [int(w) for _, ws in chunks for w in ws]
-        assert sum(weights) == enum.total() == math.comb(n * n, n)
+        assert sum(weights) == SupportEnumeration(n, "exhaustive").total() == math.comb(n * n, n)
         for rep, weight in zip(reps, weights):
             assert rep == min(translates(rep, n))
             assert weight == len(set(translates(rep, n)))
         orbits[n] = len(reps)
     assert orbits[4] == 122 and orbits[5] == 2130
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_exhaustive_chunks_without_an_embedding_are_combinations(n):
+    # the float scan's stream: every support by rank, in blocks of at most
+    # size // N rows (at least one)
+    for size in (1, 7, 97, DEFAULT_CHUNK) if n <= 3 else (97, DEFAULT_CHUNK):
+        blocks = list(SupportEnumeration(n, "exhaustive").chunks(size))
+        assert all(0 < len(rows) <= max(1, size // n) for rows in blocks)
+        rows = [tuple(row) for block in blocks for row in block.tolist()]
+        assert rows == list(itertools.combinations(range(n * n), n))
 
 
 @pytest.mark.parametrize("n", [0, -2])
@@ -108,8 +129,8 @@ def test_orbits_at_the_full_mask_width():
     # N = 8 uses all 64 bits of a support mask; N = 9 would need 81
     with pytest.raises(ValueError):
         SupportEnumeration(9, "exhaustive")
-    reps, weights = next(SupportEnumeration(8, "exhaustive").chunks(300))
-    members = _orbit_members(reps, weights)
+    reps, weights = next(representative_blocks(8, 300))
+    members = _orbit_members(reps)
     assert len(members) == weights.sum()
     start = 0
     for rep, weight in zip(reps.tolist(), weights.tolist()):
@@ -123,7 +144,7 @@ def test_orbits_at_the_full_mask_width():
 def test_exhaustive_blocks_are_bounded_and_increasing(n, size):
     # blocks hold at most `size` rows, and representatives rise strictly
     # across blocks, so no orbit is listed twice
-    blocks = list(SupportEnumeration(n, "exhaustive").chunks(size))
+    blocks = list(representative_blocks(n, size))
     assert all(len(reps) <= size for reps, _ in blocks)
     reps = [tuple(row) for block, _ in blocks for row in block.tolist()]
     assert reps == sorted(set(reps))
@@ -131,8 +152,8 @@ def test_exhaustive_blocks_are_bounded_and_increasing(n, size):
     assert sum(int(weights.sum()) for _, weights in blocks) == math.comb(n * n, n)
 
 
-# sha256 over the exhaustive blocks of `chunks(DEFAULT_CHUNK)`, each block's
-# rows then its weights as int64 bytes
+# sha256 over the exact exhaustive blocks of `chunks(DEFAULT_CHUNK, embedding)`,
+# each block's representatives then their orbit sizes as int64 bytes
 REPRESENTATIVE_BLOCKS = {
     2: "843bddb2c20ad2479b9e7f7147891b677b1a1a494d47da47b94cc4e3ddf3c402",
     3: "a98f7a41f9cbfca969d16f0b0c47b0616599049fc3c5ba475174bffa1287117a",
@@ -148,7 +169,7 @@ def test_representative_blocks_are_pinned(n):
     # the least-translate test looks only at translates Λ-e with e + c₁ ∈ Λ;
     # the blocks are those of the test over every translate that contains 0
     digest = hashlib.sha256()
-    for reps, weights in SupportEnumeration(n, "exhaustive").chunks(DEFAULT_CHUNK):
+    for reps, weights in representative_blocks(n):
         digest.update(reps.astype(np.int64).tobytes())
         digest.update(weights.astype(np.int64).tobytes())
     assert digest.hexdigest() == REPRESENTATIVE_BLOCKS[n]
@@ -178,9 +199,7 @@ def test_unrank_equals_combinations_order():
 
 def test_sampled_enumeration_reproducible_and_distinct():
     def draws(enum, size=64):
-        chunks = list(enum.chunks(size))
-        assert all((weights == 1).all() for _, weights in chunks)
-        return [tuple(map(int, row)) for rows, _ in chunks for row in rows]
+        return [tuple(map(int, row)) for rows in enum.chunks(size) for row in rows]
 
     a = SupportEnumeration(4, "sampled", count=300, seed=5)
     b = SupportEnumeration(4, "sampled", count=300, seed=5)
@@ -201,7 +220,7 @@ def test_sampled_blocks_are_bounded_like_exhaustive_ones(n, size):
     # a block holds at most size // N rows (at least one), as in exhaustive
     # mode, so that its minors hold at most size·N entries
     enum = SupportEnumeration(n, "sampled", count=300, seed=5)
-    blocks = [rows for rows, _ in enum.chunks(size)]
+    blocks = list(enum.chunks(size))
     assert all(len(rows) <= max(1, size // n) for rows in blocks)
     assert sum(map(len, blocks)) == 300
 
@@ -337,7 +356,7 @@ def test_verify_glp_worker_count_invariance(exact_window_4, exact_window_5):
     assert d1 == d2
     # small blocks split the candidates that share a prefix (0, c₁, c₂)
     enum = SupportEnumeration(5, "exhaustive")
-    blocks = [reps for reps, _ in enum.chunks(50)]
+    blocks = [reps for reps, _ in representative_blocks(5, 50)]
     assert any((a[-1, :3] == b[0, :3]).all() for a, b in zip(blocks, blocks[1:]))
     r1 = verify_glp(exact_window_5, enum, workers=1, chunk_size=50)
     r2 = verify_glp(exact_window_5, enum, workers=2, chunk_size=50)
@@ -369,6 +388,27 @@ def test_verify_glp_monotone_sampled_after_exhaustive(exact_window_4):
     assert sampled.supports_tested == 250
 
 
+@pytest.mark.parametrize(
+    "make, n, dependent",
+    [(make, n, d) for make in (ones_window_exact, ones_window) for n, d in ((3, 57), (4, 1564))]
+    + [(power_window_root_of_unity, 4, 0), (power_window_root_of_unity_float, 4, 0)],
+)
+def test_sampling_every_support_reports_what_exhaustive_mode_does(make, n, dependent):
+    # the enumeration strategy never changes a verdict: sampled mode over all
+    # C(N², N) supports scans plain rows where the exact exhaustive scan shares
+    # one verdict per orbit, and both feed the float scan the same rows
+    window, total = make(n), math.comb(n * n, n)
+    full = verify_glp(window, SupportEnumeration(n, "exhaustive"), chunk_size=97)
+    sampled = verify_glp(window, SupportEnumeration(n, "sampled", count=total, seed=7))
+    assert full.supports_tested == sampled.supports_tested == total
+    assert np.array_equal(full.dependent, sampled.dependent)
+    assert full.primes_used == sampled.primes_used
+    if window.backend.kind == "float":
+        assert full.det_modulus.tobytes() == sampled.det_modulus.tobytes()
+        assert full.witness.tobytes() == sampled.witness.tobytes()
+    assert len(full.dependent) == dependent
+
+
 def test_verify_glp_deterministic_reports(exact_window_4):
     enum = SupportEnumeration(4, "sampled", count=100, seed=3)
     r1 = verify_glp(exact_window_4, enum)
@@ -384,7 +424,7 @@ def test_verify_glp_refuses_a_scan_that_misses_supports(monkeypatch, exact_windo
     # whole leaf task when a task holds one candidate (chunk_size 4)
     walk = verify_module._walk
 
-    def drop_one(n, size, embedding=None):
+    def drop_one(n, size, embedding):
         tasks = walk(n, size, embedding)
         *parents, leaves = next(tasks)
         if len(leaves) > 1:
@@ -504,7 +544,7 @@ def test_walk_residues_equal_full_minor_residues(make, n):
     # is its minor's determinant: scalar det_mod up to N = 5, and the batched
     # kernel on the gathered minors at N = 6
     embeddings = _embeddings(make(n), 3)
-    for sel, _ in SupportEnumeration(n, "exhaustive").chunks():
+    for sel, _ in representative_blocks(n):
         for cols, p in embeddings:
             residues = _minors_mod(cols, p, sel)
             if n <= 5:
@@ -518,7 +558,7 @@ def test_walk_residues_just_below_int64_products():
     # residue products the walk takes in int64
     embeddings = _embeddings(power_window_root_of_unity(5, min_bits=30), 3)
     assert all(2**30 <= p < 2**31 and cols.dtype == np.int64 for cols, p in embeddings)
-    for sel, _ in SupportEnumeration(5, "exhaustive").chunks():
+    for sel, _ in representative_blocks(5):
         for cols, p in embeddings:
             assert _minors_mod(cols, p, sel).tolist() == scalar_minors(cols, p, sel)
 
@@ -538,14 +578,14 @@ def test_walk_residues_do_not_depend_on_row_order(make):
     # shuffling a chunk's rows breaks its shared prefixes but changes no residue
     embeddings = _embeddings(make(5), 3)
     rng = np.random.default_rng(5)
-    for sel, weights in SupportEnumeration(5, "exhaustive").chunks(700):
+    for sel, _ in representative_blocks(5, 700):
         perm = rng.permutation(len(sel))
         for cols, p in embeddings:
             assert (_minors_mod(cols, p, sel[perm]) == _minors_mod(cols, p, sel)[perm]).all()
-        scans = [_scan_chunk_exact((sel[o], weights[o]), embeddings) for o in (slice(None), perm)]
-        (tested, (members,), used), (tested2, (members2,), used2) = scans
+        scans = [_scan_chunk_exact(sel[o], embeddings) for o in (slice(None), perm)]
+        (tested, (rows,), used), (tested2, (rows2,), used2) = scans
         assert (tested, used) == (tested2, used2)
-        assert sorted(map(tuple, members.tolist())) == sorted(map(tuple, members2.tolist()))
+        assert sorted(map(tuple, rows.tolist())) == sorted(map(tuple, rows2.tolist()))
 
 
 @pytest.mark.parametrize("chunk_size", [97, DEFAULT_CHUNK])
@@ -592,16 +632,16 @@ def test_walk_steps_once_per_grown_row(monkeypatch, exact_window_5, chunk_size):
     [(ones_window_exact, n) for n in range(1, 7)] + [(power_window_root_of_unity, n) for n in (4, 5, 6)],
 )
 def test_walk_minors_equal_the_kernel_over_the_same_blocks(make, n):
-    # the walk's blocks are those of `chunks`, and its minors under the first
-    # prime, one per representative parents[r] + y, are `_minors_mod`'s over
-    # them; at N = 1 the root is a leaf, at N = 2 a leaf's c₁ is its new
+    # the walk's blocks do not depend on the window, and its minors under the
+    # first prime, one per representative parents[r] + y, are `_minors_mod`'s
+    # over them; at N = 1 the root is a leaf, at N = 2 a leaf's c₁ is its new
     # column, and blocks of 97 split the intermediate steps
     first = _embeddings(make(n), 1)[0]
     enum = SupportEnumeration(n, "exhaustive")
     for size in (97, DEFAULT_CHUNK) if n <= 5 else (DEFAULT_CHUNK,):
         tasks = list(enum.chunks(size, first))
         walked = [_leaves(task, first) for task in tasks]
-        blocks = list(enum.chunks(size))
+        blocks = list(representative_blocks(n, size))
         assert len(walked) == len(blocks)
         for task, (r, y, weights, minors), (reps, ws) in zip(tasks, walked, blocks):
             sel = np.column_stack([task[0][r], y])
@@ -618,10 +658,10 @@ def test_leaf_scan_escalates_only_the_first_prime_zeros(monkeypatch, make, zeros
     escalated = []
     scan = verify_module._scan_chunk_exact
 
-    def counted(chunk, embeddings, first=None):
-        escalated.append(len(chunk[0]))
+    def counted(sel, embeddings, first=None):
+        escalated.append(len(sel))
         assert first is not None and not first.any()
-        return scan(chunk, embeddings, first)
+        return scan(sel, embeddings, first)
 
     monkeypatch.setattr(verify_module, "_scan_chunk_exact", counted)
     report = verify_glp(make(4), SupportEnumeration(4, "exhaustive"), chunk_size=97)
@@ -703,9 +743,7 @@ def test_minor_vanishes_alike_on_a_translation_orbit(case, min_bits):
 def test_float_zero_rule_is_strict_in_the_batch_scan():
     # the minor diag(1, eps) sits exactly at the threshold and counts as nonzero
     cols = np.array([[1, 0], [0, FB.eps]], dtype=COMPLEX_DTYPE)
-    tested, (rows, moduli, witnesses), _ = _scan_chunk_float(
-        (np.array([[0, 1]]), np.ones(1, int)), cols, FB
-    )
+    tested, (rows, moduli, witnesses), _ = _scan_chunk_float(np.array([[0, 1]]), cols, FB)
     assert tested == 1 and rows.shape == (0, 2) and len(moduli) == len(witnesses) == 0
 
 
