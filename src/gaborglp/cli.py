@@ -29,8 +29,6 @@ import time
 from contextlib import nullcontext
 from dataclasses import replace
 from datetime import datetime, timezone
-from itertools import chain
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -44,102 +42,66 @@ from .backends import (
     embedding_primes,
 )
 from .operators import Window, support_cells
+from .table import JSON_NONFINITE, Table, fill
 
 SCHEMA_VERSION = 1
 
 
-def _float_texts(values: list) -> list[str] | None:
-    """`float.__repr__` of each float, computed once per distinct bit pattern
-    (bits, not values, since 0.0 == -0.0); None when one is not finite."""
-    bits = np.array(values, dtype=np.float64).view(np.int64)
-    distinct, index = np.unique(bits, return_inverse=True)
-    distinct = distinct.view(np.float64)
-    if not np.isfinite(distinct).all():
-        return None
-    return np.array(list(map(float.__repr__, distinct.tolist())), dtype=object)[index].tolist()
+def _parts(record, depth: int) -> list:
+    """`record` as `json.dumps(record, indent=2, sort_keys=True)` writes it at
+    `depth`, split at its array leaves: literal texts alternating with the
+    arrays.  Dicts in `record` have str keys."""
+    parts = [""]
 
-
-def _template(first, items: list, depth: int, columns: list) -> str | None:
-    """`first` written at `depth` with one %-slot per leaf, after appending to
-    `columns` the column of each slot's leaves over `items`.
-
-    None unless every item has the shape of `first`: the same types, sorted
-    keys and lengths at every level, with each leaf an int or a finite float
-    (exact types, so no bool and no numpy scalar).
-    """
-    kind = type(first)
-    if set(map(type, items)) != {kind}:
-        return None
-    if kind is int:
-        columns.append(items)
-        return "%d"
-    if kind is float:
-        texts = _float_texts(items)
-        if texts is None:
-            return None
-        columns.append(texts)
-        return "%s"
-    if kind is dict and all(type(key) is str for key in first):
-        keys = sorted(first)
-    elif kind is list or kind is tuple:
-        keys = range(len(first))
-    else:
-        return None
-    if set(map(len, items)) != {len(first)}:
-        return None
-    if not first:
-        return "{}" if kind is dict else "[]"
-    flat = None if kind is dict else list(chain.from_iterable(items))
-    parts = []
-    for key in keys:
-        try:
-            column = list(map(itemgetter(key), items)) if flat is None else flat[key :: len(first)]
-        except KeyError:  # a dict with other keys
-            return None
-        part = _template(first[key], column, depth + 1, columns)
-        if part is None:
-            return None
-        parts.append(json.dumps(key).replace("%", "%%") + ": " + part if kind is dict else part)
-    indent = "\n" + "  " * depth
-    body = indent + "  " + ("," + indent + "  ").join(parts) + indent
-    return "{" + body + "}" if kind is dict else "[" + body + "]"
-
-
-def _write(obj, depth: int, out: list[str]) -> None:
-    indent = "\n" + "  " * depth
-    pad = indent + "  "
-    kind = type(obj)
-    if kind is dict and obj and all(type(key) is str for key in obj):
-        sep = "{" + pad
-        for key in sorted(obj):
-            out.append(sep + json.dumps(key) + ": ")
-            _write(obj[key], depth + 1, out)
-            sep = "," + pad
-        out.append(indent + "}")
-        return
-    if (kind is list or kind is tuple) and len(obj) > 1 and type(obj[0]) in (dict, list, tuple):
-        columns: list = []
-        template = _template(obj[0], obj, depth + 1, columns)
-        if template is not None and columns:
-            out.append("[" + pad)
-            out.append(("," + pad).join(map(template.__mod__, zip(*columns))))
-            out.append(indent + "]")
+    def walk(node, depth):
+        if isinstance(node, np.ndarray):
+            parts.extend([node, ""])
             return
-    out.append(json.dumps(obj, indent=2, sort_keys=True).replace("\n", indent))
+        kind = type(node)
+        if kind not in (dict, list, tuple) or not node:  # a constant, {} or []
+            parts[-1] += json.dumps(node)
+            return
+        pad = "\n" + "  " * (depth + 1)
+        sep = "{" if kind is dict else "["
+        for key, value in sorted(node.items()) if kind is dict else enumerate(node):
+            parts[-1] += sep + pad + (json.dumps(key) + ": " if kind is dict else "")
+            walk(value, depth + 1)
+            sep = ","
+        parts[-1] += "\n" + "  " * depth + ("}" if kind is dict else "]")
+
+    walk(record, depth)
+    return parts
 
 
-def _dumps(obj) -> str:
-    """`json.dumps(obj, indent=2, sort_keys=True)` for an acyclic `obj`.
+def _write(obj, depth: int):
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)` written at
+    `depth`, in pieces.
 
     With any indent, `json` runs its pure-Python encoder.  Here dicts are
-    walked as `json` walks them, and a list of two or more dicts or lists of
-    one shape (see `_template`) is written from one %-template built from its
-    first item, filled row by row from columns of leaves gathered over all
-    items.  Everything else goes to `json.dumps`, indented to its depth.
+    walked as `json` walks them, and a `Table` is filled from its columns in
+    blocks of rows (`table.fill`), with no record built per row.  Everything
+    else goes to `json.dumps`, indented to its depth.
     """
-    out: list[str] = []
-    _write(obj, 0, out)
-    return "".join(out)
+    indent = "\n" + "  " * depth
+    kind = type(obj)
+    if kind is dict and obj and all(type(key) is str for key in obj):
+        sep = "{"
+        for key in sorted(obj):
+            yield sep + indent + "  " + json.dumps(key) + ": "
+            yield from _write(obj[key], depth + 1)
+            sep = ","
+        yield indent + "}"
+    elif kind is not Table:
+        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", indent)
+    elif not obj.rows:
+        yield "[]"
+    else:  # each row after a "," and a new line; the first after the "[" instead
+        parts = _parts(obj.record, depth + 1)
+        parts[0] = "," + indent + "  " + parts[0]
+        blocks = fill(parts, obj.rows, JSON_NONFINITE)
+        yield "[" + next(blocks)[1:]
+        yield from blocks
+        yield indent + "]"
 
 
 def _window_report(window: Window) -> dict:
@@ -188,7 +150,7 @@ def cmd_construct(args) -> tuple[dict, int]:
         report["window"] = _window_report(window)
         enum = verify.SupportEnumeration(n, "exhaustive")
         vr = verify.verify_glp(window, enum, workers=args.workers)
-        report["verification"] = vr.to_dict()
+        report["verification"] = vr.to_columns()
         code = 1 if len(vr.dependent) else 0
     if args.window_out:
         windows.save_window(window, args.window_out)
@@ -242,7 +204,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             "num_primes": args.primes,
         },
         "window": _window_report(window),
-        "result": report_obj.to_dict(),
+        "result": report_obj.to_columns(),
     }
     return report, 1 if len(report_obj.dependent) else 0
 
@@ -442,7 +404,7 @@ def main(argv=None) -> int:
     try:
         payload, code = args.func(args)
         if isinstance(payload, dict):
-            text = _dumps(
+            text = _write(
                 {
                     "schema_version": SCHEMA_VERSION,
                     "command": args.command,
@@ -451,13 +413,14 @@ def main(argv=None) -> int:
                         "generated_at": datetime.now(timezone.utc).isoformat(),
                         "elapsed_seconds": time.perf_counter() - start,
                     },
-                }
+                },
+                0,
             )
         else:  # simulate: one JSON line per record
-            text = "\n".join(json.dumps(line, sort_keys=True) for line in payload)
-        # the text and its newline go separately, so a large report is not copied
+            text = ["\n".join(json.dumps(line, sort_keys=True) for line in payload)]
+        # the report goes out in pieces, never joined into one string
         with open(args.output, "w") if args.output else nullcontext(sys.stdout) as fh:
-            fh.write(text)
+            fh.writelines(text)
             fh.write("\n")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,8 @@ of the full system matrix is nonzero.  This module enumerates supports
 (exhaustively or by seeded sampling, both in `combinations` order), evaluates
 the minors in batches, and lists each dependent support in a deterministic
 report.  The scans return dependent members as arrays, which `verify_glp` sorts
-and the report keeps; `to_dict` and `write_witness_csv` write them out in bulk.
+and the report keeps; `to_columns` and `write_witness_csv` hand them to
+`table.fill` as columns, so no record is built per dependent support.
 
 The exact exhaustive scan checks one support per translation orbit; orbits
 and their weights belong to it alone.  As π(a,b)·π(κ,λ) = ω^c·π(κ+a, λ+b),
@@ -39,7 +40,6 @@ worker count.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import random
@@ -62,6 +62,7 @@ from .backends import (
     residue_dtype,
 )
 from .operators import Window, system_matrix
+from .table import Table, fill
 from .windows import ones_window_exact
 
 DEFAULT_CHUNK = 65_536
@@ -345,7 +346,8 @@ def _scan_chunk_float(sel: np.ndarray, cols: np.ndarray, backend) -> tuple:
     long-double abs rounds the last bit differently."""
     mats = cols[:, sel].transpose(1, 0, 2)
     dets = det_batch_float(mats)
-    rows = np.flatnonzero(backend.is_zero(dets, np.abs(mats).max(axis=(1, 2))))
+    # the largest |entry| of each matrix, from per-column maxima: `max` picks the same values
+    rows = np.flatnonzero(backend.is_zero(dets, np.abs(cols).max(axis=0)[sel].max(axis=1)))
     moduli = np.abs(dets[rows].astype(np.complex128))
     return len(sel), (sel[rows], moduli, _float_witness(mats[rows])), []
 
@@ -381,6 +383,11 @@ class VerificationReport:
             return "dependent-found"
         return "glp-certified" if self.mode == "exhaustive" else "glp-on-sample"
 
+    def _cells(self) -> list[list[np.ndarray]]:
+        """The support of each entry as columns: per cell, its κ and its λ."""
+        k, l = np.divmod(self.dependent, self.n)
+        return [[k[:, i], l[:, i]] for i in range(self.n)]
+
     def _entries(self) -> list[dict]:
         """One `dependent_supports` entry per row; exact entries share one
         `residues` dict."""
@@ -394,7 +401,20 @@ class VerificationReport:
             for s, m, w in zip(supports, self.det_modulus.tolist(), witnesses)
         ]
 
-    def to_dict(self) -> dict:
+    def _entry_columns(self) -> dict:
+        """A `dependent_supports` entry whose leaves are columns over all
+        entries; the residues, zero under every prime, stay constants."""
+        if self.backend == "exact":
+            residues = dict.fromkeys(map(str, self.primes_used), 0)
+            return {"support": self._cells(), "residues": residues}
+        w = self.witness
+        return {
+            "support": self._cells(),
+            "det_modulus": self.det_modulus,
+            "witness": [[w.real[:, i], w.imag[:, i]] for i in range(self.n)],
+        }
+
+    def _fields(self, entries) -> dict:
         out = {
             "n": self.n,
             "backend": self.backend,
@@ -402,7 +422,7 @@ class VerificationReport:
             "mode": self.mode,
             "supports_tested": self.supports_tested,
             "dependent": len(self.dependent),
-            "dependent_supports": self._entries(),
+            "dependent_supports": entries,
             "primes_used": self.primes_used,
             "verdict": self.verdict,
         }
@@ -410,6 +430,15 @@ class VerificationReport:
             out["sample_count"] = self.sample_count
             out["sample_seed"] = self.sample_seed
         return out
+
+    def to_dict(self) -> dict:
+        """The report as plain data, one dict per dependent support."""
+        return self._fields(self._entries())
+
+    def to_columns(self) -> dict:
+        """`to_dict()` with `dependent_supports` as a `Table` of the entries'
+        leaf columns, which the report writer fills without building them."""
+        return self._fields(Table(self._entry_columns(), len(self.dependent)))
 
 
 def verify_glp(
@@ -478,17 +507,20 @@ def verify_glp(
 
 def write_witness_csv(report: VerificationReport, path) -> None:
     """One CSV row per dependent support: n, support, backend, and the zero
-    residue under each prime (exact) or the determinant modulus (float)."""
-    cells = np.stack(np.divmod(report.dependent, report.n), -1).tolist()
-    supports = [";".join(f"{k},{l}" for k, l in s) for s in cells]
+    residue under each prime (exact) or the determinant modulus (float).  The
+    rows are the bytes of `csv.writer`: the support quoted, CRLF row ends."""
+    parts = [f'{report.n},"']
+    for k, l in report._cells():
+        parts += [k, ",", l, ";"]
+    parts[-1] = f'",{report.backend},'
     if report.backend == "exact":
-        dets = itertools.repeat("|".join(f"{p}:0" for p in report.primes_used))
+        parts[-1] += "|".join(f"{p}:0" for p in report.primes_used) + "\r\n"
     else:
-        dets = map(repr, report.det_modulus.tolist())
+        parts += [report.det_modulus, "\r\n"]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "support", "backend", "determinant"])
-        writer.writerows((report.n, s, report.backend, d) for s, d in zip(supports, dets))
+        fh.write("n,support,backend,determinant\r\n")
+        # floats by `repr`, as `csv` writes them
+        fh.writelines(fill(parts, len(report.dependent), {}))
 
 
 # ---------------------------------------------------------------------------

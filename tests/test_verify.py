@@ -1,9 +1,12 @@
+import csv
 import hashlib
+import io
 import itertools
 import math
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +31,7 @@ from gaborglp.operators import Window, gabor_matrix, system_matrix
 from gaborglp.verify import (
     DEFAULT_CHUNK,
     SupportEnumeration,
+    VerificationReport,
     _escalate,
     _embeddings,
     _exact_windows,
@@ -44,6 +48,7 @@ from gaborglp.verify import (
 from gaborglp.windows import (
     ones_window,
     ones_window_exact,
+    power_window_generic,
     power_window_root_of_unity,
     power_window_root_of_unity_float,
     random_window,
@@ -747,6 +752,36 @@ def test_float_zero_rule_is_strict_in_the_batch_scan():
     assert tested == 1 and rows.shape == (0, 2) and len(moduli) == len(witnesses) == 0
 
 
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: random_window(4, 3),
+        lambda: power_window_generic(4, math.pi),
+        lambda: power_window_root_of_unity_float(4),
+    ],
+    ids=["random", "pi", "constructed"],
+)
+def test_float_zero_rule_scale_from_column_maxima(make, scale, monkeypatch):
+    # the scale that the batch scan hands the zero rule, taken from per-column maxima,
+    # equals the largest |entry| of each matrix of the stack; both are long-double
+    # abs values, so no signed zero or NaN tells equal values apart
+    window = make()
+    cols = system_matrix(replace(window, entries=window.entries * scale))
+    sel = _unrank(np.arange(math.comb(16, 4)), 16, 4)
+    scales = []
+
+    def record(dets, s):
+        scales.append(s)
+        return FloatBackend.is_zero(FB, dets, s)
+
+    monkeypatch.setattr(FB, "is_zero", record)
+    _scan_chunk_float(sel, cols, FB)
+    stack = np.abs(cols[:, sel].transpose(1, 0, 2)).max(axis=(1, 2))
+    assert scales[0].dtype == stack.dtype == np.longdouble
+    assert np.array_equal(scales[0], stack)
+
+
 # ---------------------------------------------------------------------------
 # backend agreement on rational-complex windows
 # ---------------------------------------------------------------------------
@@ -817,6 +852,36 @@ def test_witness_csv(tmp_path):
     body = path2.read_text().strip().splitlines()[1:]
     assert all("exact" in line for line in body)
     assert all(line.count(":") >= 3 for line in body)  # prime:residue triples
+
+
+def _csv_reference(report) -> str:
+    """`write_witness_csv`'s rows as `csv.writer` writes them from per-entry text."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["n", "support", "backend", "determinant"])
+    if report.backend == "exact":
+        dets = ["|".join(f"{p}:0" for p in report.primes_used)] * len(report.dependent)
+    else:
+        dets = map(repr, report.det_modulus.tolist())
+    for cols, det in zip(report.dependent.tolist(), dets):
+        support = ";".join(f"{c // report.n},{c % report.n}" for c in cols)
+        writer.writerow([report.n, support, report.backend, det])
+    return buf.getvalue()
+
+
+def test_witness_csv_matches_csv_writer(tmp_path):
+    n = 3
+    rows = _unrank(np.arange(5), n * n, n)
+    special = np.array([math.nan, math.inf, -math.inf, -0.0, 5e-324])
+    report = VerificationReport(
+        n, "float", "user", "exhaustive", 84, rows, special,
+        np.full((5, n), complex(-0.0, math.nan)), [], 0.0,
+    )
+    exact = verify_glp(ones_window_exact(n, 31), SupportEnumeration(n, "exhaustive"))
+    for case in (report, exact, replace(exact, dependent=exact.dependent[:0])):
+        path = tmp_path / "witnesses.csv"
+        write_witness_csv(case, path)
+        assert path.read_bytes().decode() == _csv_reference(case)
 
 
 # ---------------------------------------------------------------------------
