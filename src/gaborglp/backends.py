@@ -25,13 +25,16 @@ determinant is zero.  Two interchangeable backends answer that question:
   zero tolerance.  A determinant counts as zero when |det| is strictly below
   eps times the matrix's max entry modulus (`FloatBackend.is_zero`); the
   extended mantissa keeps elimination noise on genuinely singular systems
-  far below that threshold.  Float determinants come from one batched kernel,
-  `det_batch_float`.
+  far below that threshold.  Float determinants come from one kernel,
+  `pivot_step_float`, a column appended to the left-looking, partially
+  pivoted elimination of each matrix's first d columns; `det_batch_float`
+  takes n steps a matrix, and the float verify scan one step per distinct
+  column prefix.  The results equal right-looking elimination's bit for bit.
 
 The package itself calls neither scalar determinant, `det_mod` nor
-`det_float`, nor the zero test `det_batch_nonzero_mod`.  All three stay: the
-tests take them as reference kernels and verdict oracles, and the benchmark's
-tracer (`perfbench/tracer.py`) looks each one up by name.
+`det_float`, nor `det_batch_float`, nor the zero test `det_batch_nonzero_mod`.
+All four stay: the tests take them as reference kernels and verdict oracles,
+and the benchmark's tracer (`perfbench/tracer.py`) looks each one up by name.
 """
 
 from __future__ import annotations
@@ -315,37 +318,44 @@ def det_batch_nonzero_mod(mats: np.ndarray, p: int) -> np.ndarray:
     return det_batch_mod(mats, p) != 0
 
 
-# no caller in the package: the tests' scalar float oracle, and a traced benchmark target
+# no caller in the package: the float kernel on a stack of one, and a traced benchmark target
 def det_float(mat: np.ndarray) -> complex:
     """Determinant of one complex matrix: `det_batch_float` on a stack of one."""
     return det_batch_float(np.asarray(mat)[None])[0]
 
 
+def pivot_step_float(state: tuple, cols: np.ndarray) -> tuple:
+    """One more column of R left-looking partially pivoted eliminations: `state` holds, for each
+    column k < d so far, the multipliers (n-k-1, R) and pivot rows (R,), then the determinants
+    (R,); column r of `cols` (n, R) extends prefix r.  It replays the prefix's row swaps and
+    updates in order, then pivots on its largest modulus from row d down: each entry takes the
+    operations, in the order, of right-looking elimination, so the results agree bit for bit."""
+    mults, pivots, det = state
+    x, r, d = np.array(cols, order="C"), np.arange(cols.shape[1]), len(mults)
+    for k, (f, v) in enumerate(zip(mults, pivots)):
+        x[k], x[v, r] = x[v, r], x[k].copy()
+        # x[k : k + 1], not x[k]: numpy multiplies (1, 1) by (1,) in its scalar loop,
+        # which rounds complex128 unlike the vector loop of every other shape
+        x[k + 1 :] -= f * x[k : k + 1]
+    v = d + np.abs(x[d:]).argmax(axis=0)
+    x[d], x[v, r] = x[v, r], x[d].copy()
+    # not `*=`: numpy runs an in-place product of length one as a reduction, rounding as above
+    det = np.where(v > d, -det, det) * x[d]
+    safe = np.where(x[d] == 0, x.dtype.type(1), x[d])
+    return [*mults, x[d + 1 :] / safe], [*pivots, v], det
+
+
+# no caller in the package: the float kernel on unshared stacks, and a traced benchmark target
 def det_batch_float(mats: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of complex matrices by partially pivoted elimination
-    in the input dtype, so extended precision works where LAPACK would not."""
-    m = np.array(mats, copy=True)
-    B, n, n2 = m.shape
-    if n != n2:
+    """Determinants of a stack of (B, n, n) complex matrices in the input dtype, where LAPACK
+    would not keep extended precision: n `pivot_step_float` steps, each matrix its own prefix."""
+    m = np.asarray(mats)
+    if m.shape[1] != m.shape[2]:
         raise ValueError("matrices must be square")
-    det = np.ones(B, dtype=m.dtype)
-    idx = np.arange(B)
-    for k in range(n):
-        piv = np.abs(m[:, k:, k]).argmax(axis=1)
-        rows_k = m[:, k, k:].copy()
-        prows = m[idx, k + piv, k:].copy()
-        m[idx, k + piv, k:] = rows_k
-        m[:, k, k:] = prows
-        det[piv > 0] = -det[piv > 0]
-        a = m[:, k, k]
-        # not in place: numpy runs an in-place product of length one as a reduction,
-        # which rounds complex128 unlike the vector loop of a longer stack
-        det = det * a
-        if k + 1 < n:
-            safe = np.where(a == 0, m.dtype.type(1), a)
-            f = (m[:, k + 1 :, k] / safe[:, None])[:, :, None]
-            m[:, k + 1 :, k:] -= f * m[:, k : k + 1, k:]
-    return det
+    state = [], [], np.ones(len(m), dtype=m.dtype)
+    for d in range(m.shape[2]):
+        state = pivot_step_float(state, m[:, :, d].T)
+    return state[2]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ byte-identical for identical configurations apart from the "timing" block.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -328,6 +329,7 @@ def cmd_fourier_check(args) -> tuple[dict, int]:
     return {"result": result.to_dict()}, 0 if result.passed else 1
 
 
+@functools.cache  # one parser a process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gaborglp",

@@ -28,8 +28,10 @@ worker count.  The exact scan reports every member of a dependent orbit.
 Every other scan reads plain blocks of column rows by rank (`_unrank`): the
 float scan tests every support, since rounding makes float moduli and
 witnesses differ across an orbit, and sampled mode tests its draws.
-`_minors_mod` walks given rows column by column: sampled rows,
-representatives under the further escalation primes, and the DFT check.
+`_prefixes` walks given rows column by column, one step per distinct
+prefix: `_minors_mod` for sampled rows, representatives under the further
+escalation primes and the DFT check, `_dets_float` for float rows, whose
+zero minors alone are gathered as matrices, for their witnesses.
 
 Soundness convention for the exact backend: a nonzero residue mod p proves
 the minor nonzero; a zero residue is only "zero mod p" and is escalated
@@ -54,11 +56,11 @@ import numpy as np
 from .backends import (
     DEFAULT_MIN_BITS,
     DEFAULT_NUM_PRIMES,
-    det_batch_float,
     embedding_primes,
     is_prime,
     laplace_step_mod,
     last_step_mod,
+    pivot_step_float,
     residue_dtype,
 )
 from .operators import Window, system_matrix
@@ -295,24 +297,34 @@ def _escalate(nonzero, primes: list[int]) -> tuple[np.ndarray, list[int]]:
     return rows, used
 
 
+def _prefixes(sel: np.ndarray):
+    """Per depth d of the rows `sel`: the rows whose first d+1 columns are a new prefix, as the
+    row before lacks them, and the parent of each, the last prefix of d columns up to it (-1 at
+    d = 0: the empty one).  Any row order is sound; `combinations` order repeats prefixes."""
+    first = (np.diff(sel, axis=0, prepend=-1) != 0).argmax(axis=1)  # depth of a row's first new column
+    for d in range(sel.shape[1]):
+        yield d, first <= d, np.cumsum(first < d)[first <= d] - 1
+
+
 def _minors_mod(cols: np.ndarray, p: int, sel: np.ndarray) -> np.ndarray:
     """Residues mod p of the minors on the rows `sel` of reduced columns `cols`: row r of d columns
     of n entries has C(n, d) minors, on row subsets t in `combinations` order, at r·C(n, d) + t.
-
-    A row's first d+1 columns are a new prefix unless the row before has
-    them too.  At depth d each new prefix takes one Laplace step from its
-    parent's maximal minors.  Any order of rows is sound; rows in
-    `combinations` order make prefixes repeat.  This serves sampled rows,
-    the escalation primes after the first and the DFT check; exhaustive
-    rows get their first-prime minors from `_walk`.
-    """
-    first = (np.diff(sel, axis=0, prepend=-1) != 0).argmax(axis=1)  # depth of a row's first new column
+    Each new prefix (`_prefixes`) takes one Laplace step from its parent's maximal minors."""
     coords = np.ones((1, 1), dtype=residue_dtype(p))  # the one empty prefix
-    for d in range(sel.shape[1]):
-        new = first <= d
-        # the parent: the last prefix of d columns up to the row (index -1 at d = 0: the empty one)
-        coords = laplace_step_mod(coords[np.cumsum(first < d)[new] - 1], cols[sel[new, d]], d, p)
+    for d, new, parent in _prefixes(sel):
+        coords = laplace_step_mod(coords[parent], cols[sel[new, d]], d, p)
     return coords.ravel()
+
+
+def _dets_float(cols: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Determinants of the minors on the columns `sel` of `cols` (n, N²): at depth d each new
+    prefix (`_prefixes`) takes one `pivot_step_float` from its parent's elimination."""
+    mults, pivots, det = [], [], np.ones(1, dtype=cols.dtype)  # the one empty prefix
+    for d, new, parent in _prefixes(sel):
+        if len(parent) > len(det):  # else each prefix has one child: parent is the identity
+            mults, pivots, det = [f[:, parent] for f in mults], [v[parent] for v in pivots], det[parent]
+        mults, pivots, det = pivot_step_float((mults, pivots, det), cols[:, sel[new, d]])
+    return det
 
 
 def _scan_chunk_exact(sel: np.ndarray, embeddings, first=None) -> tuple:
@@ -339,17 +351,16 @@ def _scan_leaves(task: tuple, embeddings) -> tuple:
 
 
 def _scan_chunk_float(sel: np.ndarray, cols: np.ndarray, backend) -> tuple:
-    """Test every column row of `sel` in one `det_batch_float` stack: float
-    moduli and witnesses differ across a translation orbit, so no verdict is
-    shared.  The dependent rows come back with their determinant moduli and
-    witnesses.  A modulus is |d| of the complex128 rounding of d: a
+    """Test every column row of `sel` by `_dets_float`: float moduli and witnesses
+    differ across a translation orbit, so no verdict is shared.  The dependent
+    rows come back with their determinant moduli and witnesses, the only
+    matrices gathered.  A modulus is |d| of the complex128 rounding of d: a
     long-double abs rounds the last bit differently."""
-    mats = cols[:, sel].transpose(1, 0, 2)
-    dets = det_batch_float(mats)
+    dets = _dets_float(cols, sel)
     # the largest |entry| of each matrix, from per-column maxima: `max` picks the same values
     rows = np.flatnonzero(backend.is_zero(dets, np.abs(cols).max(axis=0)[sel].max(axis=1)))
     moduli = np.abs(dets[rows].astype(np.complex128))
-    return len(sel), (sel[rows], moduli, _float_witness(mats[rows])), []
+    return len(sel), (sel[rows], moduli, _float_witness(cols[:, sel[rows]].transpose(1, 0, 2))), []
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from gaborglp.backends import (
 )
 from gaborglp.monomials import CyclicPoly
 from gaborglp.verify import _minors_mod
+from oracles import det_float_right_looking, same_bits
 
 
 def trial_division_prime(n):
@@ -163,11 +164,6 @@ def test_det_float_matches_numpy():
         assert abs(ours - ref) < 1e-10 * abs(ref)
 
 
-def same_bits(a, b) -> bool:
-    pairs = ((a.real, b.real), (a.imag, b.imag))
-    return a == b and all(np.signbit(x) == np.signbit(y) for x, y in pairs)
-
-
 @given(
     st.integers(1, 6),
     st.sampled_from([COMPLEX_DTYPE, np.complex128]),
@@ -198,7 +194,10 @@ def test_batch_float_det(n, dtype, order, seed):
     hadamard = np.prod(np.linalg.norm(batch.astype(np.complex128), axis=1), axis=1)
     assert dets.dtype == dtype
     assert (np.abs(dets.astype(np.complex128) - ref) <= 1e-10 * hadamard).all()
-    # no leakage across rows: each row equals the same matrix as a stack of one
+    # bit for bit the right-looking reference, and no leakage across rows: each
+    # row equals the reference on the same matrix as a stack of one
+    assert same_bits(dets, det_float_right_looking(batch))
+    assert all(same_bits(det_float_right_looking(mat[None])[0], det) for mat, det in zip(batch, dets))
     assert all(same_bits(det_batch_float(mat[None])[0], det) for mat, det in zip(batch, dets))
     assert (dets[singular] == 0).all()
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gaborglp import verify, windows
+from gaborglp import cli, verify, windows
 from gaborglp.cli import main
 from gaborglp.operators import Window
 
@@ -313,3 +313,32 @@ def test_progress_goes_to_stderr(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""  # data went to the file
     assert "supports" in captured.err
+
+
+def test_one_parser_a_process_parses_as_a_fresh_one(tmp_path, monkeypatch, capsys):
+    # `main` builds its parser once; each later call reads its argv as a fresh
+    # parser does: append actions start empty, and an error leaves no trace
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    parsed, parse = [], parser.parse_args
+    monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(parse(argv)) or parsed[-1])
+    out = str(tmp_path / "r.json")
+    runs = [
+        (["analyze", "--n", "3", "--support", "(0,0);(0,1);(1,0)", "--support", "(0,0);(1,1);(2,2)"], 0),
+        (["analyze", "--n", "3", "--support", "(0,1);(1,0);(2,2)", "-o", out], 0),
+        (["verify", "--n", "3", "--window", "random", "--backend", "float", "-o", out], 0),
+        (["verify", "--n", "3", "--mode", "lexicographic"], 2),
+        (["fourier-check", "--p", "3", "-o", out], 0),
+    ]
+    for argv, code in runs:
+        if code == 2:  # a usage error: argparse exits before the command runs
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2 and "invalid choice" in capsys.readouterr().err
+            with pytest.raises(SystemExit):
+                cli.build_parser.__wrapped__().parse_args(argv)
+            continue
+        assert main(argv) == code
+        assert vars(parsed[-1]) == vars(cli.build_parser.__wrapped__().parse_args(argv))
+    assert [args.support for args in parsed[:2]] == [[runs[0][0][4], runs[0][0][6]], [runs[1][0][4]]]
+    assert len(parsed) == 4

@@ -36,6 +36,7 @@ from gaborglp.verify import (
     _embeddings,
     _exact_windows,
     _leaves,
+    _dets_float,
     _minors_mod,
     _orbit_members,
     _scan_chunk_exact,
@@ -53,7 +54,7 @@ from gaborglp.windows import (
     power_window_root_of_unity_float,
     random_window,
 )
-from oracles import check_support
+from oracles import check_support, det_float_right_looking, same_bits
 
 FB = FloatBackend()
 
@@ -409,8 +410,8 @@ def test_sampling_every_support_reports_what_exhaustive_mode_does(make, n, depen
     assert np.array_equal(full.dependent, sampled.dependent)
     assert full.primes_used == sampled.primes_used
     if window.backend.kind == "float":
-        assert full.det_modulus.tobytes() == sampled.det_modulus.tobytes()
-        assert full.witness.tobytes() == sampled.witness.tobytes()
+        assert same_bits(full.det_modulus, sampled.det_modulus)
+        assert same_bits(full.witness, sampled.witness)
     assert len(full.dependent) == dependent
 
 
@@ -703,20 +704,56 @@ def test_float_scan_tests_every_orbit_member(n):
     # the scalar oracle computes for each support on its own
     window = ones_window(n)
     report = verify_glp(window, SupportEnumeration(n, "exhaustive"), chunk_size=7)
-    expected = []
+    rows, moduli, witnesses = [], [], []
     for cols in itertools.combinations(range(n * n), n):
         independent, entry = check_support(window, columns_to_support(cols, n))
         if not independent:
-            witness = np.array(entry["witness"]).tobytes()  # [re, im] pairs: complex128 bytes
-            expected.append((cols, np.float64(entry["det_modulus"]).tobytes(), witness))
+            rows.append(list(cols))
+            moduli.append(entry["det_modulus"])
+            witnesses.append([complex(re, im) for re, im in entry["witness"]])
     assert report.supports_tested == math.comb(n * n, n)
-    got = [
-        (tuple(cols), modulus.tobytes(), witness.tobytes())
-        for cols, modulus, witness in zip(
-            report.dependent.tolist(), report.det_modulus, report.witness
-        )
-    ]
-    assert got == expected
+    assert report.dependent.tolist() == rows
+    assert same_bits(report.det_modulus, np.array(moduli))
+    assert same_bits(report.witness, np.array(witnesses))
+
+
+@given(
+    st.integers(1, 4),
+    st.sampled_from([COMPLEX_DTYPE, np.complex128]),
+    st.sampled_from([7, 64, DEFAULT_CHUNK]),
+    st.sampled_from(["exhaustive", "sampled", "shuffled", "repeated", "one"]),
+    st.integers(0, 10**6),
+)
+@settings(max_examples=50, deadline=None)
+def test_float_prefix_walk_equals_right_looking(n, dtype, size, order, seed):
+    # the left-looking walk shares each column prefix; its determinants equal,
+    # bit for bit, right-looking elimination of each gathered matrix, for rows
+    # in `combinations` order cut at block borders, sorted sampled rows,
+    # shuffled rows, repeated rows and stacks of one
+    rng = np.random.default_rng(seed)
+    nn = n * n
+    cols = rng.standard_normal((n, nn)) + 1j * rng.standard_normal((n, nn))
+    cols[0, 0] = 0  # rows that start at column 0 swap at their first pivot
+    if nn > 1:
+        cols[:, 1] = 0  # a zero column: a zero pivot, and a division by one after it
+    if nn > 3:
+        cols[:, 3] = cols[:, 2]  # a repeated column: singular, with rounding noise
+    cols = cols.astype(dtype)
+    sampled = SupportEnumeration(n, "sampled", count=min(300, math.comb(nn, n)), seed=seed)
+    rows = np.concatenate(list(sampled.chunks()))
+    twice = rng.integers(0, len(rows), 2 * len(rows))
+    blocks = {
+        "exhaustive": itertools.islice(SupportEnumeration(n, "exhaustive").chunks(size), 40),
+        "sampled": sampled.chunks(size),
+        "shuffled": [rows[rng.permutation(len(rows))]],
+        "repeated": [rows[np.sort(twice)], rows[twice]],
+        "one": rows[:40, None],
+    }[order]
+    for sel in blocks:
+        before = cols.copy()
+        dets = _dets_float(cols, sel)
+        assert dets.dtype == dtype and same_bits(cols, before)
+        assert same_bits(dets, det_float_right_looking(cols[:, sel].transpose(1, 0, 2)))
 
 
 @given(
