@@ -25,6 +25,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import time
 from contextlib import nullcontext
@@ -47,62 +48,49 @@ from .table import JSON_NONFINITE, Table, fill
 
 SCHEMA_VERSION = 1
 
+# how `json` writes the string "\x00<i>": it always escapes the control character
+_TOKEN = re.compile(r'"\\u0000(\d+)"')
 
-def _parts(record, depth: int) -> list:
-    """`record` as `json.dumps(record, indent=2, sort_keys=True)` writes it at
-    `depth`, split at its array leaves: literal texts alternating with the
-    arrays.  Dicts in `record` have str keys."""
-    parts = [""]
 
-    def walk(node, depth):
-        if isinstance(node, np.ndarray):
-            parts.extend([node, ""])
-            return
-        kind = type(node)
-        if kind not in (dict, list, tuple) or not node:  # a constant, {} or []
-            parts[-1] += json.dumps(node)
-            return
-        pad = "\n" + "  " * (depth + 1)
-        sep = "{" if kind is dict else "["
-        for key, value in sorted(node.items()) if kind is dict else enumerate(node):
-            parts[-1] += sep + pad + (json.dumps(key) + ": " if kind is dict else "")
-            walk(value, depth + 1)
-            sep = ","
-        parts[-1] += "\n" + "  " * depth + ("}" if kind is dict else "]")
+def _split(obj, leaf_type) -> list:
+    """`json.dumps(obj, indent=2, sort_keys=True)` split at its `leaf_type` nodes: literal
+    texts alternating with the nodes, which `json` writes as "\x00<i>", their stash index.
+    A payload string can spell such a token too, so the tokens must be the nodes in order."""
+    nodes = []
 
-    walk(record, depth)
+    def stash(node):
+        if not isinstance(node, leaf_type):
+            raise TypeError(f"Object of type {type(node).__name__} is not JSON serializable")
+        nodes.append(node)
+        return f"\x00{len(nodes) - 1}"
+
+    parts = _TOKEN.split(json.dumps(obj, indent=2, sort_keys=True, default=stash))
+    if parts[1::2] != list(map(str, range(len(nodes)))):
+        raise ValueError("a report string spells a stash marker")
+    parts[1::2] = nodes
     return parts
 
 
-def _write(obj, depth: int):
-    """The text of `json.dumps(obj, indent=2, sort_keys=True)` written at
-    `depth`, in pieces.
-
-    With any indent, `json` runs its pure-Python encoder.  Here dicts are
-    walked as `json` walks them, and a `Table` is filled from its columns in
-    blocks of rows (`table.fill`), with no record built per row.  Everything
-    else goes to `json.dumps`, indented to its depth.
-    """
-    indent = "\n" + "  " * depth
-    kind = type(obj)
-    if kind is dict and obj and all(type(key) is str for key in obj):
-        sep = "{"
-        for key in sorted(obj):
-            yield sep + indent + "  " + json.dumps(key) + ": "
-            yield from _write(obj[key], depth + 1)
-            sep = ","
-        yield indent + "}"
-    elif kind is not Table:
-        yield json.dumps(obj, indent=2, sort_keys=True).replace("\n", indent)
-    elif not obj.rows:
-        yield "[]"
-    else:  # each row after a "," and a new line; the first after the "[" instead
-        parts = _parts(obj.record, depth + 1)
-        parts[0] = "," + indent + "  " + parts[0]
-        blocks = fill(parts, obj.rows, JSON_NONFINITE)
-        yield "[" + next(blocks)[1:]
-        yield from blocks
-        yield indent + "]"
+def _write(obj):
+    """The text of `json.dumps(obj, indent=2, sort_keys=True)`, in pieces: `json` lays out
+    all but the rows of each `Table`, which `table.fill` writes from its columns in blocks,
+    with no record built per row, one level below the line that holds the table."""
+    parts = _split(obj, Table)
+    yield parts[0]
+    for before, table, after in zip(parts[0::2], parts[1::2], parts[2::2]):
+        line = before[before.rfind("\n") + 1 :]
+        indent = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        if table.rows:  # each row after a "," and a new line; the first after the "[" instead
+            row = _split(table.record, np.ndarray)
+            row[0::2] = [text.replace("\n", indent + "  ") for text in row[0::2]]
+            row[0] = "," + indent + "  " + row[0]
+            blocks = fill(row, table.rows, JSON_NONFINITE)
+            yield "[" + next(blocks)[1:]
+            yield from blocks
+            yield indent + "]"
+        else:
+            yield "[]"
+        yield after
 
 
 def _window_report(window: Window) -> dict:
@@ -415,8 +403,7 @@ def main(argv=None) -> int:
                         "generated_at": datetime.now(timezone.utc).isoformat(),
                         "elapsed_seconds": time.perf_counter() - start,
                     },
-                },
-                0,
+                }
             )
         else:  # simulate: one JSON line per record
             text = ["\n".join(json.dumps(line, sort_keys=True) for line in payload)]

@@ -164,13 +164,15 @@ def support_bound_check(f: np.ndarray, window: Window) -> SupportBoundCheck:
     Cauchy-Schwarz scale); exact entries count as nonzero residues.
     """
     n = window.n
+    f = np.asarray(f)
+    if window.backend.kind == "exact":  # as `stft` reduces it: f ≡ 0 (mod p) is the zero signal
+        f = f.astype(np.int64) % window.backend.prime
+    if not np.any(np.abs(f) > 0):
+        raise ValueError("f must be nonzero")
     values = stft(f, window)
     if window.backend.kind == "exact":
         count = int(np.count_nonzero(values))
     else:
-        f = np.asarray(f)
-        if not np.any(np.abs(f) > 0):
-            raise ValueError("f must be nonzero")
         scale = float(
             np.sqrt((np.abs(f) ** 2).sum()) * np.sqrt((np.abs(window.entries) ** 2).sum())
         )

@@ -5,12 +5,13 @@ one value per record) or constants that every record shares.  Its text is
 the literal text between the columns, filled in blocks of rows: each column
 is spelled once per distinct value, and a block is one join of an object
 array whose literal columns are broadcast.  `verify` writes its dependent
-supports this way, as JSON entries (`cli`) and as CSV rows.
+supports this way, as CSV rows and as JSON entries: the one list of a report
+that `cli._write` lays out itself rather than by `json.dumps`.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +21,8 @@ BLOCK_ROWS = 16_384
 JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-class Table(NamedTuple):
+@dataclass(frozen=True)  # not a tuple, which `json` would write as a list
+class Table:
     """`rows` records, each `record` with every array leaf taken at the record's index."""
 
     record: object

@@ -6,8 +6,8 @@ of the full system matrix is nonzero.  This module enumerates supports
 (exhaustively or by seeded sampling, both in `combinations` order), evaluates
 the minors in batches, and lists each dependent support in a deterministic
 report.  The scans return dependent members as arrays, which `verify_glp` sorts
-and the report keeps; `to_columns` and `write_witness_csv` hand them to
-`table.fill` as columns, so no record is built per dependent support.
+and the report keeps; its one form, `to_columns`, and `write_witness_csv` hand
+them to `table.fill` as columns, so no record is built per dependent support.
 
 The exact exhaustive scan checks one support per translation orbit; orbits
 and their weights belong to it alone.  As π(a,b)·π(κ,λ) = ω^c·π(κ+a, λ+b),
@@ -399,33 +399,18 @@ class VerificationReport:
         k, l = np.divmod(self.dependent, self.n)
         return [[k[:, i], l[:, i]] for i in range(self.n)]
 
-    def _entries(self) -> list[dict]:
-        """One `dependent_supports` entry per row; exact entries share one
-        `residues` dict."""
-        supports = np.stack(np.divmod(self.dependent, self.n), -1).tolist()
+    def to_columns(self) -> dict:
+        """The report as plain data, with `dependent_supports` a `Table` of
+        one entry whose leaves are columns over all entries, which the report
+        writer fills without building them; the residues, zero under every
+        prime, stay constants."""
+        entry = {"support": self._cells()}
         if self.backend == "exact":
-            residues = dict.fromkeys(map(str, self.primes_used), 0)
-            return [{"support": s, "residues": residues} for s in supports]
-        witnesses = np.stack([self.witness.real, self.witness.imag], -1).tolist()
-        return [
-            {"support": s, "det_modulus": m, "witness": w}
-            for s, m, w in zip(supports, self.det_modulus.tolist(), witnesses)
-        ]
-
-    def _entry_columns(self) -> dict:
-        """A `dependent_supports` entry whose leaves are columns over all
-        entries; the residues, zero under every prime, stay constants."""
-        if self.backend == "exact":
-            residues = dict.fromkeys(map(str, self.primes_used), 0)
-            return {"support": self._cells(), "residues": residues}
-        w = self.witness
-        return {
-            "support": self._cells(),
-            "det_modulus": self.det_modulus,
-            "witness": [[w.real[:, i], w.imag[:, i]] for i in range(self.n)],
-        }
-
-    def _fields(self, entries) -> dict:
+            entry["residues"] = dict.fromkeys(map(str, self.primes_used), 0)
+        else:
+            w = self.witness
+            entry["det_modulus"] = self.det_modulus
+            entry["witness"] = [[w.real[:, i], w.imag[:, i]] for i in range(self.n)]
         out = {
             "n": self.n,
             "backend": self.backend,
@@ -433,7 +418,7 @@ class VerificationReport:
             "mode": self.mode,
             "supports_tested": self.supports_tested,
             "dependent": len(self.dependent),
-            "dependent_supports": entries,
+            "dependent_supports": Table(entry, len(self.dependent)),
             "primes_used": self.primes_used,
             "verdict": self.verdict,
         }
@@ -441,15 +426,6 @@ class VerificationReport:
             out["sample_count"] = self.sample_count
             out["sample_seed"] = self.sample_seed
         return out
-
-    def to_dict(self) -> dict:
-        """The report as plain data, one dict per dependent support."""
-        return self._fields(self._entries())
-
-    def to_columns(self) -> dict:
-        """`to_dict()` with `dependent_supports` as a `Table` of the entries'
-        leaf columns, which the report writer fills without building them."""
-        return self._fields(Table(self._entry_columns(), len(self.dependent)))
 
 
 def verify_glp(

@@ -18,7 +18,6 @@ import math
 import numpy as np
 
 from .backends import (
-    COMPLEX_DTYPE,
     DEFAULT_MIN_BITS,
     REAL_DTYPE,
     CyclotomicContext,
@@ -129,16 +128,28 @@ def window_to_dict(window: Window) -> dict:
     return out
 
 
+def _integers(data: dict, key: str):
+    """`data[key]`, a list or dict of ints: a bool, float or str is refused, not rounded."""
+    value = data[key]
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, (dict, list)) or any(type(v) is not int for v in items):
+        raise ValueError(f"the window field {key!r} must hold integers, got {value!r}")
+    return value
+
+
 def window_from_dict(data: dict) -> Window:
+    kind, seed = data["kind"], data.get("seed")
     if data["backend"] == "exact":
-        ctx = CyclotomicContext(**data["context"])
+        ctx = CyclotomicContext(**_integers(data, "context"))
         if "exponents" in data:
-            return Window.from_exponents(ctx, data["exponents"], data["kind"], data.get("seed"))
-        entries = np.array(data["entries"], dtype=np.int64)
-        return Window(entries, ResidueBackend(ctx), data["kind"], data.get("seed"))
-    backend = FloatBackend()
-    entries = np.array([complex(re, im) for re, im in data["entries"]], dtype=COMPLEX_DTYPE)
-    return Window(entries, backend, data["kind"], data.get("seed"))
+            window = Window.from_exponents(ctx, _integers(data, "exponents"), kind, seed)
+        else:
+            window = Window(_integers(data, "entries"), ResidueBackend(ctx), kind, seed)
+    else:
+        window = Window([complex(re, im) for re, im in data["entries"]], FloatBackend(), kind, seed)
+    if type(data["n"]) is not int or data["n"] != window.n:
+        raise ValueError(f"the window field 'n' is {data['n']!r}, not its {window.n} entries")
+    return window
 
 
 def save_window(window: Window, path) -> None:
@@ -154,5 +165,5 @@ def load_window(path) -> Window:
         return window_from_dict(data)
     except KeyError as exc:
         raise ValueError(f"window file {path} lacks the field {exc}") from exc
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:  # OverflowError: an int64 field out of range
         raise ValueError(f"window file {path} has a malformed field: {exc}") from exc

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -128,6 +131,26 @@ def test_exhaustive_budget_counts_the_rows_the_scan_tests(monkeypatch, capsys):
     assert "tests at least 1753074 orbit representatives" in capsys.readouterr().err
 
 
+# the constructed N = 4 window, exponents [0, 4, 16, 36], spoiled in one field each
+GOOD_WINDOW = windows.window_to_dict(windows.power_window_root_of_unity(4))
+BAD_WINDOWS = {
+    "fractional_exponents": {**GOOD_WINDOW, "exponents": [0.5, 4.5, 16.5, 36.5]},
+    "float_exponents": {**GOOD_WINDOW, "exponents": [0.0, 4.0, 16.0, 36.0]},
+    "string_exponents": {**GOOD_WINDOW, "exponents": ["0", "4", "16", "36"]},
+    "bool_exponents": {**GOOD_WINDOW, "exponents": [False, True, True, True]},
+    "exponents_not_a_list": {**GOOD_WINDOW, "exponents": 4},
+    "huge_exponents": {**GOOD_WINDOW, "exponents": [2**70, 4, 16, 36]},
+    "wrong_n": {**GOOD_WINDOW, "n": 7},
+    "string_n": {**GOOD_WINDOW, "n": "4"},
+    "float_entries": {
+        **{k: v for k, v in GOOD_WINDOW.items() if k != "exponents"},
+        "entries": [1.0, 2.0, 3.0, 4.0],
+    },
+    "float_context": {**GOOD_WINDOW, "context": {**GOOD_WINDOW["context"], "prime": 1049437.0}},
+    "bool_context": {**GOOD_WINDOW, "context": {"order": True, "prime": 2, "root": True}},
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -165,12 +188,16 @@ def test_exhaustive_budget_counts_the_rows_the_scan_tests(monkeypatch, capsys):
         ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--witness-csv", "{dir}"],
         ["construct", "--n", "5", "--window-out", "{dir}"],
         ["simulate", "--n", "4", "--trials", "3", "-o", "{dir}"],
+        # a window file whose integer fields hold other values, or whose n is not its length
+        *(["verify", "--n", "4", "--window", "{%s}" % name] for name in BAD_WINDOWS),
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, argv):
-    malformed = tmp_path / "malformed.json"
-    malformed.write_text(json.dumps({"n": 2, "kind": "user"}))  # no "backend"
-    code = main([a.format(malformed=malformed, dir=tmp_path) for a in argv])
+    files = {"malformed": {"n": 2, "kind": "user"}, **BAD_WINDOWS}  # "malformed" lacks "backend"
+    paths = {name: tmp_path / f"{name}.json" for name in files}
+    for name, data in files.items():
+        paths[name].write_text(json.dumps(data))
+    code = main([a.format(dir=tmp_path, **paths) for a in argv])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
@@ -342,3 +369,18 @@ def test_one_parser_a_process_parses_as_a_fresh_one(tmp_path, monkeypatch, capsy
         assert vars(parsed[-1]) == vars(cli.build_parser.__wrapped__().parse_args(argv))
     assert [args.support for args in parsed[:2]] == [[runs[0][0][4], runs[0][0][6]], [runs[1][0][4]]]
     assert len(parsed) == 4
+
+
+def readme_commands():
+    """The argument lists of the `gaborglp …` lines in README's sh blocks."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = (line for block in re.findall(r"```sh\n(.*?)```", text, re.S) for line in block.splitlines())
+    return [shlex.split(line)[1:] for line in lines if line.startswith("gaborglp ")]
+
+
+def test_readme_examples_parse():
+    # parsed, not run: a renamed or removed flag fails here before a reader meets it
+    commands = readme_commands()
+    assert len(commands) >= 9
+    for argv in commands:
+        cli.build_parser().parse_args(argv)

@@ -229,9 +229,15 @@ def test_support_bound_extremal_case(float_window_4):
     assert check.passed
 
 
-def test_support_bound_rejects_zero_signal(float_window_4):
-    with pytest.raises(ValueError):
+def test_support_bound_rejects_zero_signal(float_window_4, exact_window_4):
+    with pytest.raises(ValueError, match="f must be nonzero"):
         support_bound_check(np.zeros(4, dtype=complex), float_window_4)
+    # the exact field's zero signal is any f ≡ 0 (mod p)
+    p = exact_window_4.backend.prime
+    for f in (np.zeros(4), np.zeros(4, dtype=np.int64), [p, 0, 0, 0], [0, -p, 2 * p, 0]):
+        with pytest.raises(ValueError, match="f must be nonzero"):
+            support_bound_check(f, exact_window_4)
+    assert support_bound_check([p + 1, 0, 0, 0], exact_window_4).passed
 
 
 def test_random_erasure_validation():

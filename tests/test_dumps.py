@@ -1,12 +1,14 @@
 """The report writer `cli._write` against `json.dumps(obj, indent=2, sort_keys=True)`.
 
-`_write` walks dicts itself, fills a `Table` from its columns, and hands
-everything else to `json.dumps`.  The payloads mix lists of records that share
-one shape with records that differ from their neighbours in one key, one list
-length or one leaf type, with leaves such as NaN, ±inf, bool, None, numpy floats
-and strings, and with keys that hold `%`, `"` or non-ASCII text.  Tables are
-checked on generated records and on verify reports at the depth the CLI writes
-them, against `json.dumps` of `VerificationReport.to_dict()`.
+`_write` leaves the layout to `json.dumps` and fills each `Table` from its
+columns, one level below the line that holds it.  The payloads mix lists of
+records that share one shape with records that differ from their neighbours in
+one key, one list length or one leaf type, with leaves such as NaN, ±inf, bool,
+None, numpy floats and strings, and with keys that hold `%`, `"` or non-ASCII
+text.  Tables are checked on generated records, empty or not, one or two to a
+payload, at depths 0 to 3 as dict values and as list elements; and on verify
+reports, against `json.dumps` of their entries built here from the report's
+arrays.  A payload string that spells a table's stash marker is refused.
 """
 
 import json
@@ -27,7 +29,18 @@ from gaborglp.windows import ones_window, ones_window_exact
 
 
 def _dumps(obj) -> str:
-    return "".join(_write(obj, 0))
+    return "".join(_write(obj))
+
+
+def _place(node, path):
+    """`node` at depth len(path), beside a sibling: under a str key of a
+    dict, or at an int index of a list."""
+    for key in reversed(path):
+        node = {key: node, "z": None} if isinstance(key, str) else [0] * key + [node, 0]
+    return node
+
+
+PATHS = st.lists(st.sampled_from(["a", 0, 1]), max_size=3)
 
 KEYS = st.text(alphabet=st.sampled_from('ab%"\\é∂\n'), max_size=3)
 INTS = st.integers(-(2**70), 2**70)
@@ -136,6 +149,7 @@ PAYLOADS = st.recursive(
 @example([[np.float64(0.1)], [np.float64(0.2)]])
 @example({"x": [[], []], "y": [{}, {}], "z": [[[]], [[]]]})
 @example([{"s": [1], "r": SHARED}, {"s": [2], "r": SHARED}])
+@example({"a\x000": ["\x00", "\x00x"]})  # control characters that spell no marker
 def test_dumps_matches_json(payload):
     assert _dumps(payload) == json.dumps(payload, indent=2, sort_keys=True)
 
@@ -182,21 +196,62 @@ def _refill_leaves(shape, draw):
     return shape
 
 
-@given(SHAPES, st.data(), st.integers(0, 7), st.integers(1, 3))
+@st.composite
+def tables(draw):
+    """A `Table` of up to 8 records of one shape, and the records."""
+    first = draw(SHAPES)
+    rows = [first] + [_refill_leaves(first, draw) for _ in range(draw(st.integers(0, 7)))]
+    if draw(st.integers(0, 7)) == 0:  # an empty table
+        rows = []
+    return Table(_leaf_columns(first, rows), len(rows)), rows
+
+
+@given(tables(), PATHS, st.none() | st.tuples(tables(), PATHS), st.integers(1, 3))
 @settings(max_examples=300, deadline=None)
-def test_table_matches_json(first, data, count, block_rows):
-    rows = [first] + [_refill_leaves(first, data.draw) for _ in range(count)]
-    columns = _leaf_columns(first, rows)
-    got = Table(columns, len(rows))
+def test_table_matches_json(table_rows, path, second, block_rows):
+    got, rows = table_rows
+    got, expected = _place(got, path), _place(rows, path)
+    if second:  # two tables in one payload
+        (other, other_rows), other_path = second
+        got = {"a": got, "b": _place(other, other_path)}
+        expected = {"a": expected, "b": _place(other_rows, other_path)}
     with mock.patch.object(table, "BLOCK_ROWS", block_rows):
-        assert _dumps({"a": {"b": got}}) == json.dumps({"a": {"b": rows}}, indent=2, sort_keys=True)
+        assert _dumps(got) == json.dumps(expected, indent=2, sort_keys=True)
 
 
-def _check_report(report: VerificationReport):
-    # `dependent_supports` at the depth of a CLI report, which holds it under "result"
-    assert _dumps({"result": report.to_columns()}) == json.dumps(
-        {"result": report.to_dict()}, indent=2, sort_keys=True
+@pytest.mark.parametrize("marker", ["\x000", "\x001", "\"\x000"])
+@pytest.mark.parametrize("as_key", [False, True])
+def test_forged_marker_is_refused(marker, as_key):
+    # a string that json spells as a table's token never stands in for the table
+    t = Table({"x": np.arange(2)}, 2)
+    payload = {marker: 1, "t": t} if as_key else {"s": marker, "t": t}
+    with pytest.raises(ValueError, match="stash marker"):
+        _dumps(payload)
+    with pytest.raises(ValueError, match="stash marker"):  # no table at all
+        _dumps({"s": marker})
+
+
+def _entries(report: VerificationReport) -> list:
+    """The `dependent_supports` entries, one dict per row of the report's arrays."""
+    supports = [[[c // report.n, c % report.n] for c in row] for row in report.dependent.tolist()]
+    if report.backend == "exact":
+        return [{"support": s, "residues": {str(p): 0 for p in report.primes_used}} for s in supports]
+    return [
+        {"support": s, "det_modulus": m, "witness": [[z.real, z.imag] for z in w]}
+        for s, m, w in zip(supports, report.det_modulus.tolist(), report.witness.tolist())
+    ]
+
+
+def _check_report(report: VerificationReport, path=()):
+    # the report at the depth the CLI writes it, under "result", and its table alone at `path`
+    columns = report.to_columns()
+    entries = _entries(report)
+    pairs = (
+        ({"result": columns}, {"result": {**columns, "dependent_supports": entries}}),
+        (_place(columns["dependent_supports"], path), _place(entries, path)),
     )
+    for got, expected in pairs:
+        assert _dumps(got) == json.dumps(expected, indent=2, sort_keys=True)
 
 
 @pytest.fixture(scope="module")
@@ -228,7 +283,10 @@ def test_report_table_residue_keys(bits):
     _check_report(report)
 
 
-def test_report_table_float_specials():
+@pytest.mark.parametrize(
+    "path", [(), ("a",), (0,), (1,), ("a", "a"), (1, 0), ("a", 1, "a"), (0, "a", 1), (1, 1, 1)]
+)
+def test_report_table_float_specials(path):
     # hand-built: moduli and witnesses that hold NaN, ±inf and both zeros
     n = 3
     special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300]
@@ -241,12 +299,13 @@ def test_report_table_float_specials():
         n, "float", "user", "exhaustive", 84, _unrank(np.arange(rows), n * n, n),
         np.array(special), witness, [], 0.0,
     )
-    for rows_kept in (rows, 1):
+    for rows_kept in (rows, 1, 0):
         _check_report(
             replace(
                 report,
                 dependent=report.dependent[:rows_kept],
                 det_modulus=report.det_modulus[:rows_kept],
                 witness=report.witness[:rows_kept],
-            )
+            ),
+            path,
         )

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import itertools
+import json
 import math
 import random
 import sys
@@ -26,6 +27,7 @@ from gaborglp.backends import (
 )
 from gaborglp import backends
 from gaborglp import verify as verify_module
+from gaborglp.cli import _write
 from gaborglp.monomials import q_polynomial
 from gaborglp.operators import Window, gabor_matrix, system_matrix
 from gaborglp.verify import (
@@ -75,6 +77,11 @@ def columns_to_support(cols, n):
 def dependent_supports(report):
     """The report's dependent supports, as tuples of (κ, λ) cells."""
     return [columns_to_support(cols, report.n) for cols in report.dependent]
+
+
+def written(report):
+    """The report as the CLI writes it, read back."""
+    return json.loads("".join(_write(report.to_columns())))
 
 
 def translates(support, n):
@@ -333,7 +340,7 @@ def test_verify_glp_constructed_n4(exact_window_4):
 def test_verify_glp_exact_dependent_reports_primes():
     report = verify_glp(ones_window_exact(2), SupportEnumeration(2, "exhaustive"))
     assert len(report.dependent)
-    for dep in report.to_dict()["dependent_supports"]:
+    for dep in written(report)["dependent_supports"]:
         assert len(dep["residues"]) == 3
         assert all(r == 0 for r in dep["residues"].values())
     assert len(report.primes_used) == 3
@@ -358,7 +365,7 @@ def test_verify_glp_worker_count_invariance(exact_window_4, exact_window_5):
     enum = SupportEnumeration(4, "exhaustive")
     r1 = verify_glp(exact_window_4, enum, workers=1, chunk_size=300)
     r2 = verify_glp(exact_window_4, enum, workers=2, chunk_size=300)
-    d1, d2 = r1.to_dict(), r2.to_dict()
+    d1, d2 = written(r1), written(r2)
     assert d1 == d2
     # small blocks split the candidates that share a prefix (0, c₁, c₂)
     enum = SupportEnumeration(5, "exhaustive")
@@ -366,7 +373,7 @@ def test_verify_glp_worker_count_invariance(exact_window_4, exact_window_5):
     assert any((a[-1, :3] == b[0, :3]).all() for a, b in zip(blocks, blocks[1:]))
     r1 = verify_glp(exact_window_5, enum, workers=1, chunk_size=50)
     r2 = verify_glp(exact_window_5, enum, workers=2, chunk_size=50)
-    assert r1.supports_tested == math.comb(25, 5) and r1.to_dict() == r2.to_dict()
+    assert r1.supports_tested == math.comb(25, 5) and written(r1) == written(r2)
 
 
 def test_verify_glp_worker_count_invariance_with_dependent_orbits():
@@ -374,7 +381,7 @@ def test_verify_glp_worker_count_invariance_with_dependent_orbits():
     enum = SupportEnumeration(4, "exhaustive")
     r1 = verify_glp(ones_window_exact(4), enum, workers=1, chunk_size=50)
     r2 = verify_glp(ones_window_exact(4), enum, workers=2, chunk_size=50)
-    assert len(r1.dependent) and r1.to_dict() == r2.to_dict()
+    assert len(r1.dependent) and written(r1) == written(r2)
 
 
 def test_verify_glp_float_worker_count_invariance():
@@ -382,7 +389,7 @@ def test_verify_glp_float_worker_count_invariance():
     enum = SupportEnumeration(3, "exhaustive")
     r1 = verify_glp(w, enum, workers=1, chunk_size=19)
     r2 = verify_glp(w, enum, workers=2, chunk_size=19)
-    assert r1.to_dict() == r2.to_dict()
+    assert written(r1) == written(r2)
 
 
 def test_verify_glp_monotone_sampled_after_exhaustive(exact_window_4):
@@ -419,7 +426,7 @@ def test_verify_glp_deterministic_reports(exact_window_4):
     enum = SupportEnumeration(4, "sampled", count=100, seed=3)
     r1 = verify_glp(exact_window_4, enum)
     r2 = verify_glp(exact_window_4, enum)
-    assert r1.to_dict() == r2.to_dict()
+    assert written(r1) == written(r2)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -453,7 +460,7 @@ def assert_matches_scalar_reference(window):
         for cols in itertools.combinations(range(n * n), n)
     ]
     expected = [entry for independent, entry in verdicts if not independent]
-    assert report.to_dict()["dependent_supports"] == expected
+    assert written(report)["dependent_supports"] == expected
     primes = set().union(*(map(int, entry["residues"]) for _, entry in verdicts))
     assert report.primes_used == sorted(primes)
 
@@ -503,7 +510,7 @@ def test_escalation_passes_over_primes_without_an_image(rationals):
     dependent = [((0, 0), (1, 1)), ((0, 1), (1, 0))]
     assert dependent_supports(report) == dependent
     residues = {"17": 0, "37": 0, "41": 0}
-    assert all(d["residues"] == residues for d in report.to_dict()["dependent_supports"])
+    assert all(d["residues"] == residues for d in written(report)["dependent_supports"])
     assert report.primes_used == [17, 37, 41]
     assert check_support(window, dependent[0])[1]["residues"] == residues
 
@@ -532,7 +539,7 @@ def test_orbit_scan_matches_full_enumeration(n, make):
     assert report.supports_tested == math.comb(n * n, n)
     assert dependent_supports(report) == dependent
     residues = dict.fromkeys(map(str, primes_used), 0)
-    assert all(d["residues"] == residues for d in report.to_dict()["dependent_supports"])
+    assert all(d["residues"] == residues for d in written(report)["dependent_supports"])
     assert report.primes_used == primes_used
 
 
@@ -701,20 +708,22 @@ def test_every_exact_determinant_runs_on_the_laplace_step(monkeypatch):
 @pytest.mark.parametrize("n", [3, 4])
 def test_float_scan_tests_every_orbit_member(n):
     # the scan's moduli and batched witnesses equal, bit for bit, those that
-    # the scalar oracle computes for each support on its own
+    # the scalar oracle computes for each support on its own, and the written
+    # report lists the oracle's entries
     window = ones_window(n)
     report = verify_glp(window, SupportEnumeration(n, "exhaustive"), chunk_size=7)
-    rows, moduli, witnesses = [], [], []
+    rows, entries = [], []
     for cols in itertools.combinations(range(n * n), n):
         independent, entry = check_support(window, columns_to_support(cols, n))
         if not independent:
             rows.append(list(cols))
-            moduli.append(entry["det_modulus"])
-            witnesses.append([complex(re, im) for re, im in entry["witness"]])
+            entries.append(entry)
     assert report.supports_tested == math.comb(n * n, n)
     assert report.dependent.tolist() == rows
-    assert same_bits(report.det_modulus, np.array(moduli))
+    assert same_bits(report.det_modulus, np.array([e["det_modulus"] for e in entries]))
+    witnesses = [[complex(re, im) for re, im in e["witness"]] for e in entries]
     assert same_bits(report.witness, np.array(witnesses))
+    assert written(report)["dependent_supports"] == entries
 
 
 @given(

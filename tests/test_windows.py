@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -147,6 +148,42 @@ def test_serialization_exact_without_exponents():
     w = window_from_dict(data)
     assert list(w.entries) == [1, 2]
     assert window_to_dict(w)["entries"] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("exponents", [0.5, 4.5, 16.5, 36.5]),  # once rounded down and certified
+        ("exponents", [0.0, 4.0, 16.0, 36.0]),
+        ("exponents", ["0", "4", "16", "36"]),
+        ("exponents", [False, True, True, True]),
+        ("exponents", 4),
+        ("entries", [1.0, 2.0, 3.0, 4.0]),
+        ("entries", ["1", "2", "3", "4"]),
+        ("context", {"order": 324.0, "prime": 1049437, "root": 521220}),
+        ("context", {"order": 324, "prime": "1049437", "root": 521220}),
+        ("context", {"order": True, "prime": 2, "root": True}),
+        ("n", 7),
+        ("n", 3),
+        ("n", 4.0),
+        ("n", "4"),
+        ("float n", 3),
+    ],
+)
+def test_window_from_dict_refuses_non_integers_and_a_wrong_n(tmp_path, field, value):
+    data = window_to_dict(power_window_root_of_unity(4))
+    assert data["exponents"] == [0, 4, 16, 36]
+    if field == "entries":
+        del data["exponents"]
+    if field == "float n":  # a float window of 4 entries
+        data, field = window_to_dict(random_window(4, 0)), "n"
+    data[field] = value
+    with pytest.raises(ValueError, match=repr(field)):
+        window_from_dict(data)
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=repr(field)):
+        load_window(path)
 
 
 def test_ones_windows():
