@@ -249,6 +249,15 @@ def residue_dtype(p: int) -> np.dtype:
     return np.dtype(object if p >= 1 << 31 else np.int64)
 
 
+def exact_integers(values, name: str) -> np.ndarray:
+    """A caller's exact values as an int64 vector.  Anything but a vector of integers raises a
+    ValueError naming `name`: a bool, a float (even integral), a complex or a str is never cast."""
+    items = np.asarray(values, dtype=object)
+    if items.ndim != 1 or any(type(v) is bool or not isinstance(v, (int, np.integer)) for v in items):
+        raise ValueError(f"{name!r} must be a vector of integers, got {values!r}")
+    return items.astype(np.int64)  # OverflowError outside int64, as from any int64 cast
+
+
 @functools.lru_cache
 def _expansion(n: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read-only index tables of a Laplace step from the d×d to the (d+1)×(d+1) minors of n-row

@@ -82,18 +82,16 @@ def _solve_consistent(A: np.ndarray, b: np.ndarray, eps: float) -> np.ndarray:
     """
     A = np.array(A, copy=True)
     b = np.array(b, copy=True)
-    m, k = A.shape
+    k = A.shape[1]
     scale = float(np.abs(A).max()) or 1.0
     bnorm = float(np.sqrt((np.abs(b) ** 2).sum()))
     aug = np.concatenate([A, b[:, None]], axis=1)
-    perm = list(range(m))
     for col in range(k):
         piv = int(np.abs(aug[col:, col]).argmax()) + col
         if abs(complex(aug[piv, col])) <= eps * scale:
             raise RankDeficientError(f"rank deficiency at column {col}")
         if piv != col:
             aug[[col, piv]] = aug[[piv, col]]
-            perm[col], perm[piv] = perm[piv], perm[col]
         factors = aug[col + 1 :, col] / aug[col, col]
         aug[col + 1 :, col:] -= factors[:, None] * aug[col, col:]
     x = np.zeros(k, dtype=A.dtype)
@@ -163,13 +161,9 @@ def support_bound_check(f: np.ndarray, window: Window) -> SupportBoundCheck:
     signal.  Float entries count as nonzero above eps·‖f‖·‖w‖ (the
     Cauchy-Schwarz scale); exact entries count as nonzero residues.
     """
-    n = window.n
-    f = np.asarray(f)
-    if window.backend.kind == "exact":  # as `stft` reduces it: f ≡ 0 (mod p) is the zero signal
-        f = f.astype(np.int64) % window.backend.prime
-    if not np.any(np.abs(f) > 0):
-        raise ValueError("f must be nonzero")
     values = stft(f, window)
+    if not np.any(values):  # the full system is a frame, mod p too: only f = 0 transforms to 0
+        raise ValueError("f must be nonzero")
     if window.backend.kind == "exact":
         count = int(np.count_nonzero(values))
     else:
@@ -177,4 +171,4 @@ def support_bound_check(f: np.ndarray, window: Window) -> SupportBoundCheck:
             np.sqrt((np.abs(f) ** 2).sum()) * np.sqrt((np.abs(window.entries) ** 2).sum())
         )
         count = int((np.abs(values) > window.backend.eps * scale).sum())
-    return SupportBoundCheck(count, n * n - n + 1)
+    return SupportBoundCheck(count, window.n**2 - window.n + 1)

@@ -22,6 +22,7 @@ from .backends import (
     FloatBackend,
     ResidueBackend,
     embed_rational_complex,
+    exact_integers,
 )
 
 # A time-frequency index is a plain (kappa, lambda) pair of residues mod N.
@@ -48,7 +49,7 @@ class Window:
 
     def __post_init__(self) -> None:
         if self.backend.kind == "exact":
-            self.entries = np.asarray(self.entries, dtype=np.int64) % self.backend.prime
+            self.entries = exact_integers(self.entries, "entries") % self.backend.prime
         else:
             self.entries = np.asarray(self.entries, dtype=self.backend.dtype)
         if self.entries.ndim != 1 or len(self.entries) == 0:
@@ -59,7 +60,7 @@ class Window:
     @classmethod
     def from_exponents(cls, ctx: CyclotomicContext, exponents, kind: str, seed) -> "Window":
         """The exact window with entries u**exponents, u the root of `ctx`."""
-        exponents = np.asarray(exponents, dtype=np.int64)
+        exponents = exact_integers(exponents, "exponents")
         entries = [pow(ctx.root, int(e), ctx.prime) for e in exponents]
         return cls(entries, ResidueBackend(ctx), kind, seed, exponents)
 
@@ -148,12 +149,12 @@ def system_matrix(window: Window) -> np.ndarray:
 def stft(f: np.ndarray, window: Window) -> np.ndarray:
     """Short-time Fourier transform: V[κ,λ] = ⟨f, π(κ,λ)·window⟩.
 
-    Under the exact backend the Hermitian conjugation of a unimodular residue
-    is inversion mod p, so the window must be unimodular (carry exponents);
-    general exact windows must use the float backend instead.
+    Under the exact backend f holds integers (`exact_integers`), and Hermitian
+    conjugation of a unimodular residue is inversion mod p, so the window must
+    carry exponents; general exact windows must use the float backend instead.
     """
     n = window.n
-    f = np.asarray(f)
+    f = exact_integers(f, "f") if window.backend.kind == "exact" else np.asarray(f)
     if len(f) != n:
         raise ValueError("dimension mismatch between f and window")
     G = system_matrix(window)
@@ -162,7 +163,7 @@ def stft(f: np.ndarray, window: Window) -> np.ndarray:
             raise ValueError("exact stft requires a unimodular (root-of-unity) window")
         p = window.backend.prime
         Gc = np.array([pow(int(v), p - 2, p) for v in G.ravel()], dtype=object).reshape(G.shape)
-        vals = (np.asarray(f, dtype=np.int64) % p).astype(object) @ Gc % p
+        vals = (f % p).astype(object) @ Gc % p
         return vals.astype(np.int64).reshape(n, n)
     fb = f.astype(window.backend.dtype)
     return (G.conj().T @ fb).reshape(n, n)

@@ -24,6 +24,7 @@ from .backends import (
     FloatBackend,
     ResidueBackend,
     embedding_primes,
+    exact_integers,
     factorize,
 )
 from .operators import Window
@@ -128,25 +129,23 @@ def window_to_dict(window: Window) -> dict:
     return out
 
 
-def _integers(data: dict, key: str):
-    """`data[key]`, a list or dict of ints: a bool, float or str is refused, not rounded."""
-    value = data[key]
-    items = value.values() if isinstance(value, dict) else value
-    if not isinstance(value, (dict, list)) or any(type(v) is not int for v in items):
-        raise ValueError(f"the window field {key!r} must hold integers, got {value!r}")
-    return value
-
-
 def window_from_dict(data: dict) -> Window:
     kind, seed = data["kind"], data.get("seed")
+    if seed is not None and type(seed) is not int:
+        raise ValueError(f"the window field 'seed' must be an integer or null, got {seed!r}")
     if data["backend"] == "exact":
-        ctx = CyclotomicContext(**_integers(data, "context"))
+        fields = [data["context"][k] for k in ("order", "prime", "root")]  # TypeError if no dict
+        ctx = CyclotomicContext(*exact_integers(fields, "context").tolist())
         if "exponents" in data:
-            window = Window.from_exponents(ctx, _integers(data, "exponents"), kind, seed)
+            window = Window.from_exponents(ctx, data["exponents"], kind, seed)
         else:
-            window = Window(_integers(data, "entries"), ResidueBackend(ctx), kind, seed)
+            window = Window(data["entries"], ResidueBackend(ctx), kind, seed)
     else:
-        window = Window([complex(re, im) for re, im in data["entries"]], FloatBackend(), kind, seed)
+        entries = data["entries"]
+        pairs = np.asarray(entries, dtype=object)  # [re, im]: a bool or a str is refused
+        if pairs.shape[1:] != (2,) or any(type(v) not in (int, float) for v in pairs.flat):
+            raise ValueError(f"the window field 'entries' must be [re, im] pairs, got {entries!r}")
+        window = Window([complex(re, im) for re, im in pairs], FloatBackend(), kind, seed)
     if type(data["n"]) is not int or data["n"] != window.n:
         raise ValueError(f"the window field 'n' is {data['n']!r}, not its {window.n} entries")
     return window
@@ -165,5 +164,5 @@ def load_window(path) -> Window:
         return window_from_dict(data)
     except KeyError as exc:
         raise ValueError(f"window file {path} lacks the field {exc}") from exc
-    except (TypeError, OverflowError) as exc:  # OverflowError: an int64 field out of range
+    except (TypeError, OverflowError) as exc:  # OverflowError: a number out of range
         raise ValueError(f"window file {path} has a malformed field: {exc}") from exc

@@ -17,6 +17,7 @@ from gaborglp.backends import (
     det_mod,
     embed_rational_complex,
     embedding_primes,
+    exact_integers,
     is_prime,
     laplace_step_mod,
     last_step_mod,
@@ -536,3 +537,18 @@ def test_float_zero_rule_is_strict_at_the_threshold():
     mat = np.diag([1, 1e-8]).astype(COMPLEX_DTYPE)  # |det| = eps · max|entry| exactly
     assert not fb.is_zero(det_float(mat), np.abs(mat).max())
     assert fb.is_zero(det_float(mat), 1.5)
+
+
+def test_exact_integers_takes_integer_vectors_only():
+    taken = [[1, -2, 2**62], np.array([1, -2]), np.array([1, 2], dtype=np.uint64), [np.int8(1)], []]
+    for values in taken:
+        out = exact_integers(values, "x")
+        assert out.dtype == np.int64 and out.tolist() == [int(v) for v in values]
+    refused = [[1.0], np.zeros(2), [True, 1], np.array([True]), [np.True_], ["1"], [1j], 3, "12",
+               None, [[1, 2]]]
+    for values in refused:
+        with pytest.raises(ValueError, match="'x' must be a vector of integers"):
+            exact_integers(values, "x")
+    for values in ([2**63], [-(2**63) - 1], np.array([2**63], dtype=np.uint64)):
+        with pytest.raises(OverflowError):  # as a cast of an integer out of range always did
+            exact_integers(values, "x")

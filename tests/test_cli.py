@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -131,8 +134,10 @@ def test_exhaustive_budget_counts_the_rows_the_scan_tests(monkeypatch, capsys):
     assert "tests at least 1753074 orbit representatives" in capsys.readouterr().err
 
 
-# the constructed N = 4 window, exponents [0, 4, 16, 36], spoiled in one field each
+# the constructed N = 4 window, exponents [0, 4, 16, 36], and a float window of 4 entries,
+# spoiled in one field each
 GOOD_WINDOW = windows.window_to_dict(windows.power_window_root_of_unity(4))
+FLOAT_WINDOW = windows.window_to_dict(windows.random_window(4, 0))
 BAD_WINDOWS = {
     "fractional_exponents": {**GOOD_WINDOW, "exponents": [0.5, 4.5, 16.5, 36.5]},
     "float_exponents": {**GOOD_WINDOW, "exponents": [0.0, 4.0, 16.0, 36.0]},
@@ -148,6 +153,11 @@ BAD_WINDOWS = {
     },
     "float_context": {**GOOD_WINDOW, "context": {**GOOD_WINDOW["context"], "prime": 1049437.0}},
     "bool_context": {**GOOD_WINDOW, "context": {"order": True, "prime": 2, "root": True}},
+    "list_context": {**GOOD_WINDOW, "context": list(GOOD_WINDOW["context"].values())},
+    "string_seed": {**GOOD_WINDOW, "seed": "0"},
+    "bool_float_entries": {**FLOAT_WINDOW, "entries": [[True, False]] * 4},
+    "float_entries_not_pairs": {**FLOAT_WINDOW, "entries": [[1.0, 0.0, 0.0]] * 4},
+    "string_float_seed": {**FLOAT_WINDOW, "seed": "0"},
 }
 
 
@@ -188,12 +198,25 @@ BAD_WINDOWS = {
         ["verify", "--n", "3", "--window", "ones", "--backend", "float", "--witness-csv", "{dir}"],
         ["construct", "--n", "5", "--window-out", "{dir}"],
         ["simulate", "--n", "4", "--trials", "3", "-o", "{dir}"],
-        # a window file whose integer fields hold other values, or whose n is not its length
-        *(["verify", "--n", "4", "--window", "{%s}" % name] for name in BAD_WINDOWS),
+        # a window file whose fields hold other values, or whose n is not its length,
+        # under the file's own backend
+        *(
+            ["verify", "--n", "4", "--backend", data["backend"], "--window", "{%s}" % name]
+            for name, data in BAD_WINDOWS.items()
+        ),
+        # a sound window file under the other backend, or an exact one where only float works
+        ["verify", "--n", "4", "--backend", "float", "--window", "{exact}"],
+        ["verify", "--n", "4", "--window", "{float}"],
+        ["simulate", "--n", "4", "--window", "{exact}"],
     ],
 )
 def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, argv):
-    files = {"malformed": {"n": 2, "kind": "user"}, **BAD_WINDOWS}  # "malformed" lacks "backend"
+    files = {
+        "malformed": {"n": 2, "kind": "user"},  # lacks "backend"
+        "exact": GOOD_WINDOW,
+        "float": FLOAT_WINDOW,
+        **BAD_WINDOWS,
+    }
     paths = {name: tmp_path / f"{name}.json" for name in files}
     for name, data in files.items():
         paths[name].write_text(json.dumps(data))
@@ -201,6 +224,22 @@ def test_usage_errors_exit_2_with_one_error_line(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1  # one line, no traceback
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # `python -m gaborglp` as a user runs it: __main__ passes main()'s code to the shell
+    paths = [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+
+    def module(*argv):
+        argv = [sys.executable, "-m", "gaborglp", *argv]
+        return subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, text=True)
+
+    done = module("fourier-check", "--p", "3")
+    assert done.returncode == 0 and json.loads(done.stdout)["result"]["passed"] is True
+    done = module("verify", "--n", "0")
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
 def test_window_names_come_before_files_of_that_name(tmp_path, monkeypatch):

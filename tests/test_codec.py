@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -16,7 +18,7 @@ from gaborglp.codec import (
     support_bound_check,
 )
 from gaborglp.operators import Window, full_support, gabor_matrix, tf_shift
-from gaborglp.windows import ones_window
+from gaborglp.windows import ones_window, random_window
 from oracles import apply_operator
 
 FB = FloatBackend()
@@ -108,6 +110,15 @@ def test_decode_rank_deficient_for_ones_window():
         decode(survivors, w)
 
 
+def test_decode_refuses_inconsistent_packets():
+    # five packets overdetermine f; shifting one value by 1 leaves no exact solution
+    w = random_window(4, 0)
+    packets = encode(signal(4, 5), w)[:5]
+    packets[4] = replace(packets[4], value=packets[4].value + 1)
+    with pytest.raises(RankDeficientError, match="inconsistent"):
+        decode(packets, w)
+
+
 def test_decode_duplicate_packets_rejected(float_window_4):
     packets = encode(signal(4, 4), float_window_4)
     with pytest.raises(ValueError):
@@ -194,6 +205,14 @@ def test_identify_smaller_support(float_window_4):
     assert np.allclose(coeffs.coefficients.astype(complex), c, atol=1e-10)
 
 
+def test_identify_refuses_observation_outside_span(float_window_4):
+    # a third shift of a GLP window is independent of the two in the support
+    w = float_window_4
+    observed = tf_shift(w.entries, (2, 3), w.backend)
+    with pytest.raises(RankDeficientError, match="inconsistent"):
+        identify_operator(observed, [(0, 0), (1, 1)], w)
+
+
 def test_identify_ambiguous_beyond_dimension(float_window_4):
     support = full_support(4)[:5]
     observed = tf_shift(float_window_4.entries, (0, 0), float_window_4.backend)
@@ -234,10 +253,17 @@ def test_support_bound_rejects_zero_signal(float_window_4, exact_window_4):
         support_bound_check(np.zeros(4, dtype=complex), float_window_4)
     # the exact field's zero signal is any f ≡ 0 (mod p)
     p = exact_window_4.backend.prime
-    for f in (np.zeros(4), np.zeros(4, dtype=np.int64), [p, 0, 0, 0], [0, -p, 2 * p, 0]):
+    for f in (np.zeros(4, dtype=np.int64), [p, 0, 0, 0], [0, -p, 2 * p, 0]):
         with pytest.raises(ValueError, match="f must be nonzero"):
             support_bound_check(f, exact_window_4)
     assert support_bound_check([p + 1, 0, 0, 0], exact_window_4).passed
+
+
+# an int64 cast would take the first two for the zero signal and the last two for [1, 0, 0, 0]
+@pytest.mark.parametrize("f", [np.zeros(4), [0.5, 0.25, 0, 0], [1.9, 0, 0, 0], [True, 0, 0, 0]])
+def test_exact_support_bound_refuses_non_integer_signals(exact_window_4, f):
+    with pytest.raises(ValueError, match="'f' must be a vector of integers"):
+        support_bound_check(f, exact_window_4)
 
 
 def test_random_erasure_validation():

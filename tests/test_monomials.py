@@ -331,6 +331,21 @@ def test_verify_ci_uniqueness_n4_exhaustive():
     assert seen > 0
 
 
+def test_verify_ci_uniqueness_reports_a_wrong_canonical_class(monkeypatch):
+    # with a non-canonical class taken for the canonical one, its monomial is hit twice,
+    # the true CI monomial has a smaller first moment and the true class no larger second
+    profile = ColumnProfile((2, 1, 1, 0))
+    canonical = monomials.canonical_class
+    wrong = ((2, 3), (1,), (0,), ())
+    assert canonical(profile) != wrong
+    monkeypatch.setattr(
+        monomials, "canonical_class", lambda prof: wrong if prof == profile else canonical(prof)
+    )
+    report = verify_ci_uniqueness(profile)
+    assert not report.passed and report.ci_class_hits == 2
+    assert not report.first_moment_minimal and not report.second_moment_strict
+
+
 def test_verify_ci_uniqueness_guards():
     with pytest.raises(ValueError):
         verify_ci_uniqueness(ColumnProfile((0, 2, 1)))

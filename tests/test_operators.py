@@ -197,6 +197,35 @@ def test_stft_exact_requires_unimodular():
         stft(np.array([1, 0, 0, 0]), w)
 
 
+def test_exact_values_refuse_non_integers(exact_window_4):
+    # an int64 cast would truncate a float, take a bool for 0 or 1 and drop an imaginary part
+    w = exact_window_4
+    for entries in ([1.5, 2.7, 3, 4], [True, False, True, 1], np.ones(4)):
+        with pytest.raises(ValueError, match="'entries' must be a vector of integers"):
+            Window(entries, w.backend)
+    with pytest.raises(ValueError, match="'exponents' must be a vector of integers"):
+        Window.from_exponents(w.backend.context, [0.5, 4.9, 16, 36], "user", None)
+    for f in ([1.5, 0, 0, 0], [1 + 2j, 0, 0, 0], np.zeros(4)):
+        with pytest.raises(ValueError, match="'f' must be a vector of integers"):
+            stft(f, w)
+
+
+def test_exact_values_take_any_integers(exact_window_4):
+    # Python ints, signed and unsigned arrays, negative values and values ≥ p agree mod p
+    w = exact_window_4
+    ctx, p = w.backend.context, w.backend.prime
+    f = [1, 0, p - 1, 0]
+    want = stft(f, w).tolist()
+    arrays = [np.array(f), np.array(f, dtype=np.uint64)]
+    for same in arrays + [[1 + p, 0, -1, 0], [np.int32(1), 0, -p - 1, 0]]:
+        assert stft(same, w).tolist() == want
+    for entries in (w.entries.tolist(), w.entries.astype(np.uint64), w.entries - p, w.entries + p):
+        assert Window(entries, w.backend).entries.tolist() == w.entries.tolist()
+    for exponents in (w.exponents.tolist(), w.exponents.astype(np.uint16), w.exponents - ctx.order):
+        same = Window.from_exponents(ctx, exponents, "user", None)
+        assert same.entries.tolist() == w.entries.tolist()
+
+
 def test_frame_operator_defect_examples():
     w = Window(cvec(1, 0), FB)
     assert frame_operator_defect(w) < 1e-15

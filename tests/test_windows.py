@@ -168,6 +168,15 @@ def test_serialization_exact_without_exponents():
         ("n", 4.0),
         ("n", "4"),
         ("float n", 3),
+        ("seed", "0"),
+        ("seed", True),
+        ("seed", 0.5),
+        ("float seed", "0"),
+        ("float entries", [[True, False], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]),
+        ("float entries", [["1", 0.0], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]),
+        ("float entries", [[1.0], [0.5, 0.5], [1.0, 0.0], [0.0, 1.0]]),
+        ("float entries", [1.0, 0.5, 1.0, 0.0]),
+        ("float entries", {"re": [1.0], "im": [0.0]}),
     ],
 )
 def test_window_from_dict_refuses_non_integers_and_a_wrong_n(tmp_path, field, value):
@@ -175,8 +184,8 @@ def test_window_from_dict_refuses_non_integers_and_a_wrong_n(tmp_path, field, va
     assert data["exponents"] == [0, 4, 16, 36]
     if field == "entries":
         del data["exponents"]
-    if field == "float n":  # a float window of 4 entries
-        data, field = window_to_dict(random_window(4, 0)), "n"
+    if field.startswith("float "):  # a float window of 4 entries
+        data, field = window_to_dict(random_window(4, 0)), field.removeprefix("float ")
     data[field] = value
     with pytest.raises(ValueError, match=repr(field)):
         window_from_dict(data)
